@@ -41,9 +41,10 @@
 
 use parexec::{parse_threads, Parallelism};
 use plancheck::{check, Code, Report};
-use scibench_bench::{compress, e2e, hostinfo, kernels, memo, ooc, plans, serve, skew};
+use scibench_bench::{compress, e2e, hostinfo, kernels, memo, ooc, serve, skew};
 use scibench_core::experiments::Setup;
 use scibench_core::lower::Engine;
+use scibench_core::plans;
 
 /// Process-wide memory budget for the governor's spill tier, in bytes
 /// (optional `k`/`m`/`g` suffix, powers of 1024). Parsed here — the bench

@@ -12,15 +12,16 @@
 //! fingerprints stay bit-identical with the dense runs. Results serialize
 //! as `BENCH_compress.json` (schema `scibench-bench-compress/v1`).
 
-use crate::kernels::Fingerprint;
+use crate::kernels::fingerprint_coadd;
 use marray::{with_compress_mode, ChunkRepr, CodecCounter, CodecStats, CompressMode, NdArray};
 use scibench_core::costmodel::{pack_for_boundary, PlaneKind};
-use scibench_core::usecases::astro as astro_uc;
-use scibench_core::usecases::neuro as neuro_uc;
+use scibench_core::lower::Engine;
+use scibench_core::registry::{run_astro_e2e, run_neuro};
 use sciops::astro::geometry::Exposure;
 use sciops::astro::{coadd_sigma_clip_par, estimate_background_par, BackgroundParams, CoaddParams};
 use sciops::synth::sky::{SkySpec, SkySurvey};
 use sciops::Parallelism;
+use sciserve::Fingerprint;
 use std::time::Instant;
 
 /// Flat-field calibration geometry: no sources, no background gradient.
@@ -176,16 +177,6 @@ fn time_ns(reps: usize, mut f: impl FnMut() -> u64) -> (u64, u64) {
     (best.max(1), fp)
 }
 
-fn fingerprint_coadd(c: &sciops::astro::coadd::Coadd) -> u64 {
-    let mut fp = Fingerprint::new();
-    fp.push_slice(c.flux.data());
-    fp.push_slice(c.variance.data());
-    for &d in c.depth.data() {
-        fp.push_usize(d as usize);
-    }
-    fp.finish()
-}
-
 /// The compressed-vs-dense kernel matrix: sigma-clip coadd on the
 /// flat-field stack (Const mask + Const variance feed the run-level
 /// plans) and background estimation on the mostly-constant variance
@@ -230,7 +221,7 @@ pub fn kernel_matrix(quick: bool, reps: usize) -> Vec<KernelRow> {
         let fp_of = |img: &NdArray<f64>| {
             let bg = estimate_background_par(img, &params, Parallelism::Serial);
             let mut fp = Fingerprint::new();
-            fp.push_slice(bg.data());
+            fp.push_f64_slice(bg.data());
             fp.finish()
         };
         let (dense_ns, fp_dense) = time_ns(reps, || fp_of(&image));
@@ -289,7 +280,7 @@ pub fn bench_cases() -> Vec<crate::kernels::KernelCase> {
             Box::new(move |par| {
                 let bg = estimate_background_par(&img, &params, par);
                 let mut fp = Fingerprint::new();
-                fp.push_slice(bg.data());
+                fp.push_f64_slice(bg.data());
                 fp.finish()
             }),
         ));
@@ -321,7 +312,8 @@ pub fn run_compress(quick: bool) -> CompressRun {
         let astro_survey = SkySurvey::generate(99, &SkySpec::test_scale());
         let run = || {
             let t = Instant::now();
-            let fp = crate::e2e::fingerprint_astro(&astro_uc::spark(&astro_survey, 6));
+            let out = run_astro_e2e(Engine::Spark, &astro_survey).expect("Spark runs astronomy");
+            let fp = crate::e2e::fingerprint_astro(&out);
             (fp, t.elapsed().as_secs_f64() * 1e3)
         };
         let (fp_off, dense_ms) = with_compress_mode(CompressMode::Off, run);
@@ -335,10 +327,10 @@ pub fn run_compress(quick: bool) -> CompressRun {
         });
     }
     {
-        let subs = crate::e2e::subjects(1);
+        let subs = sciserve::demo_subjects(7000, 1);
         let run = || {
             let t = Instant::now();
-            let fp = crate::e2e::fingerprint_fa(&neuro_uc::spark(&subs, 8));
+            let fp = crate::e2e::fingerprint_neuro(&run_neuro(Engine::Spark, &subs));
             (fp, t.elapsed().as_secs_f64() * 1e3)
         };
         let (fp_off, dense_ms) = with_compress_mode(CompressMode::Off, run);

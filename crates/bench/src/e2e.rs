@@ -10,28 +10,57 @@
 //! data plane alone, not of a different computation. Results serialize as
 //! `BENCH_e2e.json` (schema `scibench-bench-e2e/v1`).
 
-use crate::kernels::Fingerprint;
-use marray::{with_copy_mode, CopyCounter, CopyMode, CopyStats};
+use marray::{with_copy_mode, CopyCounter, CopyMode, CopyStats, NdArray};
+use scibench_core::lower::Engine;
+use scibench_core::registry::{self, NeuroRun, UseCase, ENGINES};
 use scibench_core::usecases::astro as astro_uc;
 use scibench_core::usecases::neuro as neuro_uc;
-use sciops::synth::dmri::{DmriPhantom, DmriSpec};
 use sciops::synth::sky::{SkySpec, SkySurvey};
+use sciserve::Fingerprint;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One end-to-end benchmarkable pipeline on one engine analog.
+/// The pre-built inputs every case of one suite shares.
+struct Inputs {
+    subjects: Vec<neuro_uc::Subject>,
+    survey: SkySurvey,
+    cube: NdArray<f64>,
+}
+
+/// One end-to-end benchmarkable pipeline on one engine analog, run at the
+/// registry's test-scale shape.
 pub struct E2eCase {
     /// Use case: `"neuro"` or `"astro"`.
     pub pipeline: &'static str,
     /// Engine analog: `spark`, `myria`, `dask`, `tensorflow` or `scidb`.
     pub engine: &'static str,
-    runner: Box<dyn Fn() -> u64>,
+    id: Engine,
+    use_case: UseCase,
+    inputs: Arc<Inputs>,
 }
 
 impl E2eCase {
     /// Run the pipeline once; returns the output fingerprint.
     pub fn run(&self) -> u64 {
-        (self.runner)()
+        let inputs = &self.inputs;
+        match self.use_case {
+            UseCase::NeuroSteps | UseCase::NeuroE2e => {
+                fingerprint_neuro(&registry::run_neuro(self.id, &inputs.subjects))
+            }
+            UseCase::AstroE2e => fingerprint_astro(
+                &registry::run_astro_e2e(self.id, &inputs.survey)
+                    .expect("suite lists runnable cases"),
+            ),
+            UseCase::AstroCoadd => {
+                let out = registry::run_astro_coadd(self.id, &inputs.cube)
+                    .expect("suite lists runnable cases")
+                    .expect("cube coadd runs");
+                let mut fp = Fingerprint::new();
+                fp.push_f64_slice(out.data());
+                fp.finish()
+            }
+        }
     }
 }
 
@@ -74,21 +103,20 @@ pub struct E2eResult {
     pub outputs_identical: bool,
 }
 
-pub(crate) fn subjects(n: usize) -> Vec<neuro_uc::Subject> {
-    let spec = DmriSpec::test_scale();
-    (0..n)
-        .map(|i| {
-            let phantom = DmriPhantom::generate(7000 + i as u64, &spec);
-            neuro_uc::Subject::from_phantom(i as u32, &phantom)
-        })
-        .collect()
-}
-
-pub(crate) fn fingerprint_fa(out: &std::collections::BTreeMap<u32, marray::NdArray<f64>>) -> u64 {
+pub(crate) fn fingerprint_neuro(run: &NeuroRun) -> u64 {
     let mut fp = Fingerprint::new();
-    for (id, fa) in out {
-        fp.push_usize(*id as usize);
-        fp.push_slice(fa.data());
+    let mut fold = |vols: &BTreeMap<u32, NdArray<f64>>| {
+        for (id, v) in vols {
+            fp.push_usize(*id as usize);
+            fp.push_f64_slice(v.data());
+        }
+    };
+    match run {
+        NeuroRun::Fa(fa) => fold(fa),
+        NeuroRun::Steps { mean_b0, denoised } => {
+            fold(mean_b0);
+            fold(denoised);
+        }
     }
     fp.finish()
 }
@@ -98,7 +126,7 @@ pub(crate) fn fingerprint_astro(r: &astro_uc::AstroResult) -> u64 {
     for (patch, flux) in &r.coadd_flux {
         fp.push_usize(patch.0 as usize);
         fp.push_usize(patch.1 as usize);
-        fp.push_slice(flux.data());
+        fp.push_f64_slice(flux.data());
     }
     for sources in r.catalogs.values() {
         fp.push_usize(sources.len());
@@ -113,149 +141,45 @@ pub(crate) fn fingerprint_astro(r: &astro_uc::AstroResult) -> u64 {
     fp.finish()
 }
 
-/// The runnable pipeline/engine matrix: neuroscience on all five analogs;
-/// astronomy on Spark, Myria and the SciDB-style coadd (Dask froze on the
-/// paper's cluster, TensorFlow was neuroscience-only). `quick` shrinks the
-/// subject count for CI.
+/// The runnable pipeline/engine matrix, read from the engine registry:
+/// neuroscience on all five analogs (end to end where the engine can,
+/// its expressible steps elsewhere); astronomy end to end where runnable,
+/// else the cube coadd where runnable, else a documented skip. `quick`
+/// shrinks the subject count for CI.
 pub fn suite(quick: bool) -> (Vec<E2eCase>, Vec<E2eSkip>) {
+    let survey = SkySurvey::generate(99, &SkySpec::test_scale());
+    let inputs = Arc::new(Inputs {
+        subjects: sciserve::demo_subjects(7000, if quick { 1 } else { 2 }),
+        cube: sciserve::cube_for_survey(&survey),
+        survey,
+    });
+    let case = |pipeline, e: &registry::EngineEntry, use_case| E2eCase {
+        pipeline,
+        engine: e.key,
+        id: e.engine,
+        use_case,
+        inputs: Arc::clone(&inputs),
+    };
     let mut cases = Vec::new();
-    let subs = Arc::new(subjects(if quick { 1 } else { 2 }));
-
-    {
-        let subs = Arc::clone(&subs);
-        cases.push(E2eCase {
-            pipeline: "neuro",
-            engine: "spark",
-            runner: Box::new(move || fingerprint_fa(&neuro_uc::spark(&subs, 8))),
-        });
+    for e in &ENGINES {
+        // `run_neuro` goes end to end wherever the engine can.
+        cases.push(case("neuro", e, UseCase::NeuroSteps));
     }
-    {
-        let subs = Arc::clone(&subs);
-        cases.push(E2eCase {
-            pipeline: "neuro",
-            engine: "myria",
-            runner: Box::new(move || fingerprint_fa(&neuro_uc::myria(&subs, 4, 2))),
-        });
+    let mut skipped = Vec::new();
+    for e in &ENGINES {
+        if e.astro_e2e.is_runnable() {
+            cases.push(case("astro", e, UseCase::AstroE2e));
+        } else if e.astro_coadd.is_runnable() {
+            cases.push(case("astro", e, UseCase::AstroCoadd));
+        } else {
+            skipped.push(E2eSkip {
+                pipeline: "astro",
+                engine: e.key,
+                status: e.astro_e2e.to_string(),
+            });
+        }
     }
-    {
-        let subs = Arc::clone(&subs);
-        cases.push(E2eCase {
-            pipeline: "neuro",
-            engine: "dask",
-            runner: Box::new(move || fingerprint_fa(&neuro_uc::dask(&subs, 8))),
-        });
-    }
-    {
-        let subs = Arc::clone(&subs);
-        cases.push(E2eCase {
-            pipeline: "neuro",
-            engine: "tensorflow",
-            runner: Box::new(move || {
-                let out = neuro_uc::tensorflow(&subs);
-                let mut fp = Fingerprint::new();
-                for (id, v) in out.mean_b0.iter().chain(out.denoised0.iter()) {
-                    fp.push_usize(*id as usize);
-                    fp.push_slice(v.data());
-                }
-                fp.finish()
-            }),
-        });
-    }
-    {
-        let subs = Arc::clone(&subs);
-        cases.push(E2eCase {
-            pipeline: "neuro",
-            engine: "scidb",
-            runner: Box::new(move || {
-                let out = neuro_uc::scidb(&subs);
-                let mut fp = Fingerprint::new();
-                for (id, v) in out.mean_b0.iter().chain(out.denoised.iter()) {
-                    fp.push_usize(*id as usize);
-                    fp.push_slice(v.data());
-                }
-                fp.finish()
-            }),
-        });
-    }
-
-    let survey = Arc::new(SkySurvey::generate(99, &SkySpec::test_scale()));
-    {
-        let survey = Arc::clone(&survey);
-        cases.push(E2eCase {
-            pipeline: "astro",
-            engine: "spark",
-            runner: Box::new(move || fingerprint_astro(&astro_uc::spark(&survey, 6))),
-        });
-    }
-    {
-        let survey = Arc::clone(&survey);
-        cases.push(E2eCase {
-            pipeline: "astro",
-            engine: "myria",
-            runner: Box::new(move || fingerprint_astro(&astro_uc::myria(&survey, 4, 1))),
-        });
-    }
-    {
-        // SciDB: the pure-AQL clipped coadd over one patch's visit cube.
-        let cube = Arc::new(patch_cube(&survey));
-        cases.push(E2eCase {
-            pipeline: "astro",
-            engine: "scidb",
-            runner: Box::new(move || {
-                let db = engine_array::ArrayDb::connect(4);
-                let out = astro_uc::scidb_coadd_cube(&db, &cube, 8).expect("scidb coadd runs");
-                let mut fp = Fingerprint::new();
-                fp.push_slice(out.data());
-                fp.finish()
-            }),
-        });
-    }
-
-    let skipped = vec![
-        E2eSkip {
-            pipeline: "astro",
-            engine: "dask",
-            status: astro_uc::DASK_ASTRO_STATUS.to_string(),
-        },
-        E2eSkip {
-            pipeline: "astro",
-            engine: "tensorflow",
-            status: "not attempted (the paper's TensorFlow implementation covers only the \
-                     neuroscience use case)"
-                .to_string(),
-        },
-    ];
     (cases, skipped)
-}
-
-/// Build the `(visit, rows, cols)` cube of merged exposures for the first
-/// patch of `survey` (the SciDB coadd's ingest input).
-fn patch_cube(survey: &SkySurvey) -> marray::NdArray<f64> {
-    let grid = survey.patch_grid();
-    let (calib, _, _) = astro_uc::astro_params();
-    let patch_box = grid.patch_box((0, 0));
-    let visits = survey.visits.len();
-    let rows = patch_box.height as usize;
-    let cols = patch_box.width as usize;
-    let mut cube = marray::NdArray::<f64>::zeros(&[visits, rows, cols]);
-    for (v, exposures) in survey.visits.iter().enumerate() {
-        let calibrated: Vec<_> = exposures
-            .iter()
-            .map(|e| sciops::astro::calibrate_exposure(e, &calib))
-            .collect();
-        let pieces: Vec<_> = calibrated
-            .iter()
-            .filter_map(|e| e.crop_to(&patch_box))
-            .collect();
-        let merged = sciops::astro::pipeline::merge_visit_pieces(&patch_box, &pieces);
-        let slice = merged
-            .flux
-            .clone()
-            .reshape(&[1, rows, cols])
-            .expect("rank-3 slice");
-        cube.write_subarray(&[v, 0, 0], &slice).expect("cube slice");
-    }
-    cube
 }
 
 /// Run `case` once under `mode`, returning (fingerprint, copy delta, ms).

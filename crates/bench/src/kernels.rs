@@ -19,48 +19,8 @@ use sciops::neuro::{fit_dtm_volume_full_par, nlmeans3d_par, NlmParams};
 use sciops::synth::dmri::{DmriPhantom, DmriSpec};
 use sciops::synth::sky::{SkySpec, SkySurvey};
 use sciops::Parallelism;
+use sciserve::Fingerprint;
 use std::time::Instant;
-
-/// FNV-1a accumulator for output fingerprints.
-#[derive(Debug, Clone, Copy)]
-pub struct Fingerprint(u64);
-
-impl Fingerprint {
-    /// Start a fresh fingerprint.
-    pub fn new() -> Fingerprint {
-        Fingerprint(0xcbf29ce484222325)
-    }
-    fn push_u64(&mut self, v: u64) {
-        for byte in v.to_le_bytes() {
-            self.0 ^= byte as u64;
-            self.0 = self.0.wrapping_mul(0x100000001b3);
-        }
-    }
-    /// Fold one float's exact bit pattern in.
-    pub fn push_f64(&mut self, v: f64) {
-        self.push_u64(v.to_bits());
-    }
-    /// Fold an integer in.
-    pub fn push_usize(&mut self, v: usize) {
-        self.push_u64(v as u64);
-    }
-    /// Fold a whole float slice in.
-    pub fn push_slice(&mut self, vs: &[f64]) {
-        for &v in vs {
-            self.push_f64(v);
-        }
-    }
-    /// The digest.
-    pub fn finish(self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Fingerprint {
-    fn default() -> Self {
-        Fingerprint::new()
-    }
-}
 
 /// One benchmarkable kernel: a name, its input shape, and a runner that
 /// executes at a given parallelism and fingerprints the full output.
@@ -133,10 +93,10 @@ fn coadd_inputs() -> Vec<sciops::astro::Exposure> {
         .collect()
 }
 
-fn fingerprint_coadd(c: &Coadd) -> u64 {
+pub(crate) fn fingerprint_coadd(c: &Coadd) -> u64 {
     let mut fp = Fingerprint::new();
-    fp.push_slice(c.flux.data());
-    fp.push_slice(c.variance.data());
+    fp.push_f64_slice(c.flux.data());
+    fp.push_f64_slice(c.variance.data());
     for &d in c.depth.data() {
         fp.push_usize(d as usize);
     }
@@ -173,7 +133,7 @@ pub fn suite() -> Vec<KernelCase> {
             runner: Box::new(move |par| {
                 let out = nlmeans3d_par(&vol, Some(&mask), &nlm, par);
                 let mut fp = Fingerprint::new();
-                fp.push_slice(out.data());
+                fp.push_f64_slice(out.data());
                 fp.finish()
             }),
         });
@@ -189,8 +149,8 @@ pub fn suite() -> Vec<KernelCase> {
             runner: Box::new(move |par| {
                 let (fa, md) = fit_dtm_volume_full_par(&data, &mask, &gtab, par);
                 let mut fp = Fingerprint::new();
-                fp.push_slice(fa.data());
-                fp.push_slice(md.data());
+                fp.push_f64_slice(fa.data());
+                fp.push_f64_slice(md.data());
                 fp.finish()
             }),
         });
@@ -225,7 +185,7 @@ pub fn suite() -> Vec<KernelCase> {
             runner: Box::new(move |par| {
                 let bg = estimate_background_par(&flux, &params, par);
                 let mut fp = Fingerprint::new();
-                fp.push_slice(bg.data());
+                fp.push_f64_slice(bg.data());
                 fp.finish()
             }),
         });

@@ -15,6 +15,5 @@ pub mod hostinfo;
 pub mod kernels;
 pub mod memo;
 pub mod ooc;
-pub mod plans;
 pub mod serve;
 pub mod skew;

@@ -31,7 +31,7 @@ use scimemo::{
 };
 use simcluster::{TaskGraph, TaskSpec};
 
-use crate::plans::shipped_configs;
+use scibench_core::plans::shipped_configs;
 
 /// The sweep result: the report to serialize plus the failures that
 /// decide the exit code.

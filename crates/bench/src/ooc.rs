@@ -28,9 +28,9 @@
 //!
 //! Results serialize as `BENCH_ooc.json` (schema `scibench-bench-ooc/v1`).
 
-use crate::kernels::Fingerprint;
 use marray::{with_mem_budget, GovStats, MemoryGovernor, NdArray};
 use scibench_core::costmodel::choose_chunk_shape;
+use sciserve::Fingerprint;
 use simcluster::{ClusterSpec, TaskGraph, TaskSpec};
 use std::time::Instant;
 
@@ -160,8 +160,8 @@ fn streaming_scan(n: usize, h: usize, w: usize, budget: Option<u64>) -> (u64, us
     MemoryGovernor::enforce();
 
     let mut fp = Fingerprint::new();
-    fp.push_slice(&sums);
-    fp.push_slice(&sumsqs);
+    fp.push_f64_slice(&sums);
+    fp.push_f64_slice(&sumsqs);
     (fp.finish(), chunk_rows)
 }
 

@@ -21,7 +21,6 @@
 //!
 //! Results serialize as `BENCH_skew.json` (schema `scibench-bench-skew/v1`).
 
-use crate::kernels::Fingerprint;
 use parexec::{imbalance_ratio, simulate_workers, MorselPool, Parallelism, PoolStats, Schedule};
 use scibench_core::costmodel::KernelScaling;
 use sciops::astro::pipeline::{create_patches, merge_visit_pieces};
@@ -30,6 +29,7 @@ use sciops::astro::{
     Exposure, PatchId,
 };
 use sciops::synth::sky::{SkySpec, SkySurvey};
+use sciserve::Fingerprint;
 use std::time::Instant;
 
 /// Worker counts the skew matrix sweeps (serial is the cost-measurement
@@ -163,7 +163,7 @@ fn patch_work(patch: &PatchId, stacks: &[Exposure]) -> u64 {
     let mut fp = Fingerprint::new();
     fp.push_usize(patch.0 as usize);
     fp.push_usize(patch.1 as usize);
-    fp.push_slice(coadd.flux.data());
+    fp.push_f64_slice(coadd.flux.data());
     fp.push_usize(sources.len());
     for s in &sources {
         fp.push_f64(s.centroid.0);

@@ -216,6 +216,33 @@ mod tests {
                 assert_eq!(r.cells[1], Cell::NotApplicable, "SciDB model fit");
             }
         }
+        // The engine registry follows the same pattern: runnable exactly
+        // where every cell of the use case's rows is a count, otherwise X
+        // if any cell is X, else NA.
+        use crate::registry::{Capability, UseCase};
+        for (use_case, rows) in [
+            (UseCase::NeuroSteps, &["Segmentation", "Denoising"][..]),
+            (UseCase::NeuroE2e, &["Model Fit."]),
+            (UseCase::AstroE2e, &["Astronomy"]),
+        ] {
+            for (col, engine) in COLUMNS.iter().enumerate() {
+                let cells: Vec<Cell> = ours
+                    .iter()
+                    .filter(|r| rows.contains(&r.step) || rows.contains(&r.use_case))
+                    .map(|r| r.cells[col])
+                    .collect();
+                let cap = engine.capability(use_case);
+                let ok = if cells.iter().all(|c| matches!(c, Cell::Count(_))) {
+                    cap.is_runnable()
+                } else if cells.contains(&Cell::Impossible) {
+                    matches!(cap, Capability::Impossible(_))
+                } else {
+                    matches!(cap, Capability::NotApplicable(_))
+                };
+                assert!(ok, "{engine:?} {use_case:?}: `{cap}` vs Table 1 {cells:?}");
+            }
+        }
+        assert_eq!(Engine::runnable(UseCase::AstroCoadd), [Engine::SciDb]);
     }
 
     #[test]

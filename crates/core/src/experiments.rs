@@ -5,6 +5,7 @@
 
 use crate::costmodel::CostModel;
 use crate::lower::{astro, ingest, neuro, steps, Engine, EngineProfiles};
+use crate::registry::{lower_astro_e2e, lower_neuro_e2e, UseCase};
 use crate::report::{gb, ratio, secs, Table, FAILED};
 use crate::workload::{AstroWorkload, NeuroWorkload};
 use engine_rel::ExecutionMode;
@@ -20,21 +21,6 @@ pub struct Setup {
 }
 
 impl Setup {
-    /// The cluster an engine runs on, with its tuned worker-slot count
-    /// (Myria: 4 workers/node after Figure 13; SciDB: 4 instances/node per
-    /// vendor guidance; Spark/Dask/TF: one slot per vCPU).
-    pub fn cluster_for(&self, engine: Engine, nodes: usize) -> ClusterSpec {
-        let base = ClusterSpec::r3_2xlarge(nodes);
-        match engine {
-            // Myria's Figure 13 optimum; Dask's thread count was manually
-            // tuned the same way (the kernels are memory-bandwidth-bound,
-            // so hyperthreads do not help).
-            Engine::Myria | Engine::Dask => base.with_worker_slots(4),
-            Engine::SciDb => base.with_worker_slots(self.profiles.arr.instances_per_node),
-            _ => base,
-        }
-    }
-
     // scilint: allow(F001, paper-script experiment driver: an infra fault aborts the whole run as the original cluster scripts do; TODO(flow): thread Result into the bench CLI)
     fn run(&self, engine: Engine, g: &TaskGraph, cluster: &ClusterSpec) -> f64 {
         simulate(g, cluster, self.profiles.policy(engine), false)
@@ -55,26 +41,15 @@ pub fn tuned_partitions(cluster: &ClusterSpec) -> usize {
 
 /// End-to-end neuroscience runtime for one engine (Figure 10c/g).
 pub fn neuro_e2e(setup: &Setup, engine: Engine, subjects: usize, nodes: usize) -> f64 {
-    let w = NeuroWorkload { subjects };
     let cluster = setup.cluster_for(engine, nodes);
-    let g = match engine {
-        Engine::Spark => neuro::spark(
-            &w,
-            &setup.cm,
-            &setup.profiles,
-            &cluster,
-            Some(tuned_partitions(&cluster)),
-            true,
-        ),
-        Engine::Myria => neuro::myria(&w, &setup.cm, &setup.profiles, &cluster),
-        Engine::Dask => neuro::dask(&w, &setup.cm, &setup.profiles, &cluster),
-        Engine::TensorFlow => neuro::tensorflow(&w, &setup.cm, &setup.profiles, &cluster),
-        Engine::SciDb => neuro::scidb_steps(&w, &setup.cm, &setup.profiles, &cluster, true),
-    };
+    let g = lower_neuro_e2e(setup, engine, &NeuroWorkload { subjects }, &cluster);
     setup.run(engine, &g, &cluster)
 }
 
 /// End-to-end astronomy runtime (Figure 10d/h); `Err` = out of memory.
+/// The tuned Myria e2e configuration materializes when the data would
+/// not fit (the paper tuned per data size): report the best completing
+/// mode. Engines without memory-management modes ignore the mode.
 // scilint: allow(F001, paper-script experiment driver: an infra fault aborts the whole run as the original cluster scripts do; TODO(flow): thread Result into the bench CLI)
 pub fn astro_e2e(
     setup: &Setup,
@@ -84,23 +59,17 @@ pub fn astro_e2e(
 ) -> Result<f64, SimError> {
     let w = AstroWorkload { visits };
     let cluster = setup.cluster_for(engine, nodes);
-    match engine {
-        Engine::Spark => {
-            let g = astro::spark(&w, &setup.cm, &setup.profiles, &cluster);
-            Ok(setup.run(engine, &g, &cluster))
-        }
-        Engine::Myria => {
-            // The tuned Myria e2e configuration materializes when the data
-            // would not fit (the paper tuned per data size); report the
-            // best completing mode.
-            myria_astro_mode(setup, visits, nodes, ExecutionMode::Pipelined)
-                .or_else(|_| myria_astro_mode(setup, visits, nodes, ExecutionMode::Materialized))
-        }
-        other => panic!(
-            "{} cannot run the astronomy use case end-to-end",
-            other.name()
-        ),
-    }
+    let run = |mode| {
+        let (g, strict) = lower_astro_e2e(setup, engine, &w, &cluster, mode).unwrap_or_else(|| {
+            panic!(
+                "{} cannot run the astronomy use case end-to-end ({})",
+                engine.name(),
+                engine.capability(UseCase::AstroE2e)
+            )
+        });
+        simulate(&g, &cluster, setup.profiles.policy(engine), strict).map(|r| r.makespan)
+    };
+    run(ExecutionMode::Pipelined).or_else(|_| run(ExecutionMode::Materialized))
 }
 
 /// Astronomy runtime for Myria under a specific memory-management mode
@@ -158,31 +127,37 @@ impl IngestSystem {
             IngestSystem::SciDb2,
         ]
     }
+
+    /// The engine this configuration runs on.
+    pub fn engine(&self) -> Engine {
+        match self {
+            IngestSystem::Dask => Engine::Dask,
+            IngestSystem::Myria => Engine::Myria,
+            IngestSystem::Spark => Engine::Spark,
+            IngestSystem::TensorFlow => Engine::TensorFlow,
+            IngestSystem::SciDb1 | IngestSystem::SciDb2 => Engine::SciDb,
+        }
+    }
+
+    /// Lower this configuration's ingest of `w` onto `cluster`.
+    pub fn lower(&self, setup: &Setup, w: &NeuroWorkload, cluster: &ClusterSpec) -> TaskGraph {
+        let (cm, p) = (&setup.cm, &setup.profiles);
+        match self {
+            IngestSystem::Dask => ingest::dask(w, cm, p, cluster),
+            IngestSystem::Myria => ingest::myria(w, cm, p, cluster),
+            IngestSystem::Spark => ingest::spark(w, cm, p, cluster),
+            IngestSystem::TensorFlow => ingest::tensorflow(w, cm, p, cluster),
+            IngestSystem::SciDb1 => ingest::scidb_from_array(w, cm, p, cluster),
+            IngestSystem::SciDb2 => ingest::scidb_aio(w, cm, p, cluster),
+        }
+    }
 }
 
 /// Ingest time on a 16-node cluster (Figure 11).
 pub fn ingest_time(setup: &Setup, system: IngestSystem, subjects: usize) -> f64 {
-    let w = NeuroWorkload { subjects };
-    let (engine, cluster) = match system {
-        IngestSystem::Dask => (Engine::Dask, setup.cluster_for(Engine::Dask, 16)),
-        IngestSystem::Myria => (Engine::Myria, setup.cluster_for(Engine::Myria, 16)),
-        IngestSystem::Spark => (Engine::Spark, setup.cluster_for(Engine::Spark, 16)),
-        IngestSystem::TensorFlow => (
-            Engine::TensorFlow,
-            setup.cluster_for(Engine::TensorFlow, 16),
-        ),
-        IngestSystem::SciDb1 | IngestSystem::SciDb2 => {
-            (Engine::SciDb, setup.cluster_for(Engine::SciDb, 16))
-        }
-    };
-    let g = match system {
-        IngestSystem::Dask => ingest::dask(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::Myria => ingest::myria(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::Spark => ingest::spark(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::TensorFlow => ingest::tensorflow(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::SciDb1 => ingest::scidb_from_array(&w, &setup.cm, &setup.profiles, &cluster),
-        IngestSystem::SciDb2 => ingest::scidb_aio(&w, &setup.cm, &setup.profiles, &cluster),
-    };
+    let engine = system.engine();
+    let cluster = setup.cluster_for(engine, 16);
+    let g = system.lower(setup, &NeuroWorkload { subjects }, &cluster);
     setup.run(engine, &g, &cluster)
 }
 
@@ -363,13 +338,11 @@ pub fn fig10e(setup: &Setup) -> Table {
         "Fig 10e: Neuroscience normalized runtime per subject",
         &["Subjects", "Dask", "Myria", "Spark"],
     );
-    let base: Vec<f64> = Engine::neuro_e2e()
-        .iter()
-        .map(|&e| neuro_e2e(setup, e, 1, 16))
-        .collect();
+    let engines = [Engine::Dask, Engine::Myria, Engine::Spark];
+    let base = engines.map(|e| neuro_e2e(setup, e, 1, 16));
     for w in NeuroWorkload::sweep() {
         let mut row = vec![w.subjects.to_string()];
-        for (i, &e) in Engine::neuro_e2e().iter().enumerate() {
+        for (i, &e) in engines.iter().enumerate() {
             let time = neuro_e2e(setup, e, w.subjects, 16);
             row.push(ratio(time / (w.subjects as f64 * base[i])));
         }

@@ -16,6 +16,11 @@
 //! * [`lower`] — per-engine lowering of each pipeline (and each
 //!   individual step) to `simcluster` task graphs at paper scale.
 //! * [`experiments`] — one driver per table/figure, returning typed rows.
+//! * [`registry`] — the one engine registry: Table 1 capabilities, the
+//!   end-to-end lowerings, the eager runners' test-scale shapes, and the
+//!   per-engine profile accessors.
+//! * [`plans`] — the shipped-configuration catalog: every lowered plan
+//!   `scibench lint` and the plancheck sweep verify.
 //! * [`complexity`] — the Table 1 implementation-complexity accounting.
 //! * [`autotune`] — the §6 "self-tuning" future-work direction implemented
 //!   as search procedures over the simulator.
@@ -26,6 +31,8 @@ pub mod complexity;
 pub mod costmodel;
 pub mod experiments;
 pub mod lower;
+pub mod plans;
+pub mod registry;
 pub mod report;
 pub mod usecases;
 pub mod workload;

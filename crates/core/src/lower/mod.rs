@@ -18,9 +18,10 @@ use engine_dataflow::DataflowEngineProfile;
 use engine_rdd::RddEngineProfile;
 use engine_rel::RelEngineProfile;
 use engine_taskgraph::TaskGraphEngineProfile;
-use simcluster::{ClusterSpec, SchedPolicy, TaskGraph};
+use simcluster::{ClusterSpec, TaskGraph};
 
-/// The systems under evaluation.
+/// The systems under evaluation. Names, capabilities, dispatch and
+/// per-engine profile accessors live in [`crate::registry`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// The Spark analog (`engine-rdd`).
@@ -35,34 +36,9 @@ pub enum Engine {
     SciDb,
 }
 
-impl Engine {
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Spark => "Spark",
-            Engine::Myria => "Myria",
-            Engine::Dask => "Dask",
-            Engine::TensorFlow => "TensorFlow",
-            Engine::SciDb => "SciDB",
-        }
-    }
-
-    /// The engines able to run the full neuroscience use case end-to-end
-    /// (the paper: Dask, Myria, Spark).
-    pub fn neuro_e2e() -> [Engine; 3] {
-        [Engine::Dask, Engine::Myria, Engine::Spark]
-    }
-
-    /// The engines able to run the full astronomy use case end-to-end
-    /// (the paper: Spark and Myria; Dask froze, SciDB/TensorFlow could
-    /// not express it).
-    pub fn astro_e2e() -> [Engine; 2] {
-        [Engine::Myria, Engine::Spark]
-    }
-}
-
 /// All engine profiles plus job-level constants, bundled for the lowering
-/// functions.
+/// functions. The per-engine accessors (`policy`, `invariants`,
+/// `op_bindings`) live in [`crate::registry`].
 #[derive(Debug, Clone, Copy)]
 pub struct EngineProfiles {
     /// Spark-analog constants.
@@ -89,59 +65,6 @@ impl Default for EngineProfiles {
             arr: ArrayEngineProfile::default(),
             jvm_job_submit: 12.0,
         }
-    }
-}
-
-impl EngineProfiles {
-    /// The scheduling policy an engine runs under.
-    pub fn policy(&self, engine: Engine) -> SchedPolicy {
-        match engine {
-            Engine::Spark => SchedPolicy::LocalityFifo {
-                per_task_overhead: self.rdd.per_task_overhead,
-            },
-            Engine::Myria => SchedPolicy::LocalityFifo {
-                per_task_overhead: self.rel.per_task_overhead,
-            },
-            Engine::Dask => SchedPolicy::WorkStealing {
-                per_task_overhead: self.tg.per_task_overhead,
-                steal_cost: self.tg.steal_cost,
-            },
-            Engine::TensorFlow => SchedPolicy::Static {
-                per_task_overhead: self.df.step_dispatch_fixed,
-            },
-            Engine::SciDb => SchedPolicy::Static {
-                per_task_overhead: self.arr.chunk_op_overhead,
-            },
-        }
-    }
-
-    /// The static invariants [`plancheck::check`] should enforce against an
-    /// engine's lowered task graphs.
-    pub fn invariants(&self, engine: Engine) -> plancheck::InvariantProfile {
-        match engine {
-            Engine::Spark => self.rdd.invariants(),
-            Engine::Myria => self.rel.invariants(),
-            Engine::Dask => self.tg.invariants(),
-            Engine::TensorFlow => self.df.invariants(),
-            Engine::SciDb => self.arr.invariants(),
-        }
-    }
-
-    /// The operator → kernel binding tables for `engine`'s lowerings, for
-    /// the scimemo cacheability certifier: the engine's own table first,
-    /// then [`SHARED_OP_BINDINGS`] for the labels the cross-engine
-    /// lowerings (`astro:*`, `ingest:*`, bare step names) emit. First
-    /// match wins; an unlisted label is deliberately unbound and the
-    /// certifier treats it as unsafe.
-    pub fn op_bindings(&self, engine: Engine) -> [&'static [plancheck::OpBinding]; 2] {
-        let own = match engine {
-            Engine::Spark => self.rdd.op_bindings(),
-            Engine::Myria => self.rel.op_bindings(),
-            Engine::Dask => self.tg.op_bindings(),
-            Engine::TensorFlow => self.df.op_bindings(),
-            Engine::SciDb => self.arr.op_bindings(),
-        };
-        [own, SHARED_OP_BINDINGS]
     }
 }
 

@@ -340,40 +340,23 @@ mod tests {
         )
     }
 
+    type StepFn =
+        fn(Engine, &NeuroWorkload, &CostModel, &EngineProfiles, &ClusterSpec) -> TaskGraph;
+
+    /// Makespan of `step` on `engine` over `subjects` on 16 plain nodes.
+    fn time(step: StepFn, engine: Engine, subjects: usize) -> f64 {
+        let (cm, p, cluster) = setup();
+        let g = step(engine, &NeuroWorkload { subjects }, &cm, &p, &cluster);
+        run(engine, &g, &cluster, &p)
+    }
+
     #[test]
     fn figure_12a_orderings() {
-        let (cm, p, cluster) = setup();
-        let w = NeuroWorkload { subjects: 25 };
-        let t_myria = run(
-            Engine::Myria,
-            &filter_step(Engine::Myria, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
-        let t_dask = run(
-            Engine::Dask,
-            &filter_step(Engine::Dask, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
-        let t_spark = run(
-            Engine::Spark,
-            &filter_step(Engine::Spark, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
-        let t_scidb = run(
-            Engine::SciDb,
-            &filter_step(Engine::SciDb, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
-        let t_tf = run(
-            Engine::TensorFlow,
-            &filter_step(Engine::TensorFlow, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
+        let t_myria = time(filter_step, Engine::Myria, 25);
+        let t_dask = time(filter_step, Engine::Dask, 25);
+        let t_spark = time(filter_step, Engine::Spark, 25);
+        let t_scidb = time(filter_step, Engine::SciDb, 25);
+        let t_tf = time(filter_step, Engine::TensorFlow, 25);
         // Paper: Myria and Dask fastest; Spark an order of magnitude
         // slower than Dask; SciDB slower than the fast pair; TF slowest by
         // orders of magnitude.
@@ -391,32 +374,10 @@ mod tests {
 
     #[test]
     fn figure_12b_scidb_fastest_small_scale() {
-        let (cm, p, cluster) = setup();
-        let w = NeuroWorkload { subjects: 1 };
-        let t_scidb = run(
-            Engine::SciDb,
-            &mean_step(Engine::SciDb, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
-        let t_spark = run(
-            Engine::Spark,
-            &mean_step(Engine::Spark, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
-        let t_dask = run(
-            Engine::Dask,
-            &mean_step(Engine::Dask, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
-        let t_tf = run(
-            Engine::TensorFlow,
-            &mean_step(Engine::TensorFlow, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
+        let t_scidb = time(mean_step, Engine::SciDb, 1);
+        let t_spark = time(mean_step, Engine::Spark, 1);
+        let t_dask = time(mean_step, Engine::Dask, 1);
+        let t_tf = time(mean_step, Engine::TensorFlow, 1);
         assert!(t_scidb < t_spark, "scidb {t_scidb} vs spark {t_spark}");
         assert!(t_scidb < t_dask, "scidb {t_scidb} vs dask {t_dask}");
         assert!(t_tf > 5.0 * t_scidb, "tf {t_tf}");
@@ -424,21 +385,14 @@ mod tests {
 
     #[test]
     fn figure_12c_udf_engines_similar_tf_slower() {
-        let (cm, p, cluster) = setup();
-        let w = NeuroWorkload { subjects: 25 };
         let t: Vec<f64> = [Engine::Spark, Engine::Myria, Engine::Dask, Engine::SciDb]
             .iter()
-            .map(|&e| run(e, &denoise_step(e, &w, &cm, &p, &cluster), &cluster, &p))
+            .map(|&e| time(denoise_step, e, 25))
             .collect();
         let max = t.iter().cloned().fold(0.0, f64::max);
         let min = t.iter().cloned().fold(f64::INFINITY, f64::min);
         assert!(max / min < 1.6, "UDF engines within 60%: {t:?}");
-        let t_tf = run(
-            Engine::TensorFlow,
-            &denoise_step(Engine::TensorFlow, &w, &cm, &p, &cluster),
-            &cluster,
-            &p,
-        );
+        let t_tf = time(denoise_step, Engine::TensorFlow, 25);
         assert!(t_tf > 1.25 * max, "tf {t_tf} vs max {max}");
     }
 

@@ -1,6 +1,6 @@
 //! The shipped-configuration catalog: every lowered plan `scibench lint`
-//! verifies, enumerated once so the plancheck sweep and the scimemo
-//! cacheability sweep cannot drift apart.
+//! verifies, enumerated once so the lint, the plancheck sweep test and
+//! the scimemo cacheability sweep cannot drift apart.
 //!
 //! The set mirrors the paper's evaluation matrix: the neuroscience
 //! end-to-end pipelines over Figure 10's subject sweep, the astronomy
@@ -9,10 +9,11 @@
 //! Figure 12's individual steps — at 16 and 64 nodes where the figures
 //! sweep cluster size.
 
+use crate::experiments::{IngestSystem, Setup};
+use crate::lower::{astro, steps, Engine};
+use crate::registry::lower_neuro_e2e;
+use crate::workload::{AstroWorkload, NeuroWorkload};
 use engine_rel::ExecutionMode;
-use scibench_core::experiments::{tuned_partitions, Setup};
-use scibench_core::lower::{astro, ingest, neuro, steps, Engine};
-use scibench_core::workload::{AstroWorkload, NeuroWorkload};
 use simcluster::{ClusterSpec, TaskGraph};
 
 /// Node counts the lint/memo sweeps check (the paper's smallest and
@@ -51,24 +52,7 @@ pub fn shipped_configs(setup: &Setup) -> Vec<ShippedConfig> {
                 Engine::SciDb,
             ] {
                 let cluster = setup.cluster_for(engine, nodes);
-                let graph = match engine {
-                    Engine::Spark => neuro::spark(
-                        &w,
-                        &setup.cm,
-                        &setup.profiles,
-                        &cluster,
-                        Some(tuned_partitions(&cluster)),
-                        true,
-                    ),
-                    Engine::Myria => neuro::myria(&w, &setup.cm, &setup.profiles, &cluster),
-                    Engine::Dask => neuro::dask(&w, &setup.cm, &setup.profiles, &cluster),
-                    Engine::TensorFlow => {
-                        neuro::tensorflow(&w, &setup.cm, &setup.profiles, &cluster)
-                    }
-                    Engine::SciDb => {
-                        neuro::scidb_steps(&w, &setup.cm, &setup.profiles, &cluster, true)
-                    }
-                };
+                let graph = lower_neuro_e2e(setup, engine, &w, &cluster);
                 out.push(ShippedConfig {
                     name: format!(
                         "neuro e2e        {:<10} subjects={:<2} nodes={nodes}",
@@ -145,29 +129,17 @@ pub fn shipped_configs(setup: &Setup) -> Vec<ShippedConfig> {
     // Ingest, Figure 11's six configurations at the largest subject count.
     let w = NeuroWorkload { subjects: 25 };
     for &nodes in &NODE_SWEEP {
-        let configs: [(&str, Engine); 6] = [
-            ("Dask", Engine::Dask),
-            ("Myria", Engine::Myria),
-            ("Spark", Engine::Spark),
-            ("TensorFlow", Engine::TensorFlow),
-            ("SciDB-1", Engine::SciDb),
-            ("SciDB-2", Engine::SciDb),
-        ];
-        for (label, engine) in configs {
+        for sys in IngestSystem::all() {
+            let engine = sys.engine();
             let cluster = setup.cluster_for(engine, nodes);
-            let graph = match label {
-                "Dask" => ingest::dask(&w, &setup.cm, &setup.profiles, &cluster),
-                "Myria" => ingest::myria(&w, &setup.cm, &setup.profiles, &cluster),
-                "Spark" => ingest::spark(&w, &setup.cm, &setup.profiles, &cluster),
-                "TensorFlow" => ingest::tensorflow(&w, &setup.cm, &setup.profiles, &cluster),
-                "SciDB-1" => ingest::scidb_from_array(&w, &setup.cm, &setup.profiles, &cluster),
-                _ => ingest::scidb_aio(&w, &setup.cm, &setup.profiles, &cluster),
-            };
             out.push(ShippedConfig {
-                name: format!("ingest           {label:<10} subjects=25 nodes={nodes}"),
+                name: format!(
+                    "ingest           {:<10} subjects=25 nodes={nodes}",
+                    sys.name()
+                ),
                 family: "ingest",
                 engine,
-                graph,
+                graph: sys.lower(setup, &w, &cluster),
                 cluster,
                 memory_expected: false,
             });
@@ -175,13 +147,7 @@ pub fn shipped_configs(setup: &Setup) -> Vec<ShippedConfig> {
     }
 
     // Individual steps, Figure 12's per-operation comparisons.
-    for engine in [
-        Engine::Spark,
-        Engine::Myria,
-        Engine::Dask,
-        Engine::TensorFlow,
-        Engine::SciDb,
-    ] {
+    for engine in Engine::all() {
         let cluster = setup.cluster_for(engine, 16);
         for (step, graph) in [
             (
@@ -209,25 +175,4 @@ pub fn shipped_configs(setup: &Setup) -> Vec<ShippedConfig> {
     }
 
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn catalog_covers_the_full_evaluation_matrix() {
-        let configs = shipped_configs(&Setup::default());
-        assert_eq!(configs.len(), 137);
-        let fam = |f: &str| configs.iter().filter(|c| c.family == f).count();
-        assert_eq!(fam("neuro"), 60);
-        assert_eq!(fam("astro"), 50);
-        assert_eq!(fam("ingest"), 12);
-        assert_eq!(fam("steps"), 15);
-        assert_eq!(
-            configs.iter().filter(|c| c.memory_expected).count(),
-            1,
-            "exactly the Figure 15 configuration expects an OOM"
-        );
-    }
 }

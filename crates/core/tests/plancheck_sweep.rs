@@ -7,151 +7,96 @@
 //! the static checker, not just to the simulator.
 
 use engine_rel::ExecutionMode;
-use plancheck::{check, Code, Report};
-use scibench_core::experiments::{tuned_partitions, Setup};
-use scibench_core::lower::{astro, ingest, neuro, Engine};
-use scibench_core::workload::{AstroWorkload, NeuroWorkload};
-
-const NODE_SWEEP: [usize; 2] = [16, 64];
+use plancheck::{check, Code};
+use scibench_core::experiments::Setup;
+use scibench_core::lower::{astro, Engine};
+use scibench_core::plans::{shipped_configs, ShippedConfig};
+use scibench_core::workload::AstroWorkload;
 
 fn is_memory(code: Code) -> bool {
     matches!(code, Code::M001 | Code::M002 | Code::M003 | Code::M004)
 }
 
-fn assert_clean(report: &Report, name: &str) {
-    let errors: Vec<String> = report
-        .errors()
-        .map(|d| format!("{} {}", d.code, d.message))
+/// Check every shipped configuration of `family`: clean, except that a
+/// memory-expected one must carry M001 and nothing but memory errors.
+fn sweep(family: &str) -> Vec<ShippedConfig> {
+    let setup = Setup::default();
+    let configs: Vec<ShippedConfig> = shipped_configs(&setup)
+        .into_iter()
+        .filter(|c| c.family == family)
         .collect();
-    assert!(
-        errors.is_empty(),
-        "{name} should lint clean, got:\n{}",
-        errors.join("\n")
+    for c in &configs {
+        let report = check(&c.graph, &c.cluster, &setup.profiles.invariants(c.engine));
+        let name = &c.name;
+        if c.memory_expected {
+            assert!(
+                report.has(Code::M001),
+                "{name} must statically reproduce the Figure 15 OOM"
+            );
+            assert!(
+                report.errors().all(|d| is_memory(d.code)),
+                "{name} may only carry memory errors"
+            );
+        } else {
+            let clean = report.errors().next().is_none();
+            assert!(
+                clean,
+                "{name} should lint clean:\n{}",
+                report.render_table()
+            );
+        }
+    }
+    configs
+}
+
+#[test]
+fn catalog_covers_the_full_evaluation_matrix() {
+    let configs = shipped_configs(&Setup::default());
+    assert_eq!(configs.len(), 137);
+    let fam = |f: &str| configs.iter().filter(|c| c.family == f).count();
+    assert_eq!(fam("neuro"), 60);
+    assert_eq!(fam("astro"), 50);
+    assert_eq!(fam("ingest"), 12);
+    assert_eq!(fam("steps"), 15);
+    assert_eq!(
+        configs.iter().filter(|c| c.memory_expected).count(),
+        1,
+        "exactly the Figure 15 configuration expects an OOM"
     );
 }
 
 #[test]
 fn neuro_sweep_is_clean_for_every_engine() {
-    let setup = Setup::default();
-    for &nodes in &NODE_SWEEP {
-        for w in NeuroWorkload::sweep() {
-            for engine in [
-                Engine::Dask,
-                Engine::Myria,
-                Engine::Spark,
-                Engine::TensorFlow,
-                Engine::SciDb,
-            ] {
-                let cluster = setup.cluster_for(engine, nodes);
-                let g = match engine {
-                    Engine::Spark => neuro::spark(
-                        &w,
-                        &setup.cm,
-                        &setup.profiles,
-                        &cluster,
-                        Some(tuned_partitions(&cluster)),
-                        true,
-                    ),
-                    Engine::Myria => neuro::myria(&w, &setup.cm, &setup.profiles, &cluster),
-                    Engine::Dask => neuro::dask(&w, &setup.cm, &setup.profiles, &cluster),
-                    Engine::TensorFlow => {
-                        neuro::tensorflow(&w, &setup.cm, &setup.profiles, &cluster)
-                    }
-                    Engine::SciDb => {
-                        neuro::scidb_steps(&w, &setup.cm, &setup.profiles, &cluster, true)
-                    }
-                };
-                let report = check(&g, &cluster, &setup.profiles.invariants(engine));
-                assert_clean(
-                    &report,
-                    &format!(
-                        "neuro {} subjects={} nodes={nodes}",
-                        engine.name(),
-                        w.subjects
-                    ),
-                );
-            }
-        }
+    let configs = sweep("neuro");
+    for engine in Engine::all() {
+        assert!(configs.iter().any(|c| c.engine == engine), "{engine:?}");
     }
 }
 
 #[test]
 fn astro_sweep_reproduces_figure_15_and_nothing_else() {
+    // Only the full-scale pipelined plan on 16 nodes may (and must)
+    // overrun: two ~31 GB coadd stacks land on one node.
+    let oom: Vec<String> = sweep("astro")
+        .into_iter()
+        .filter(|c| c.memory_expected)
+        .map(|c| c.name.split_whitespace().collect::<Vec<_>>().join(" "))
+        .collect();
+    assert_eq!(oom, ["astro pipelined Myria visits=24 nodes=16"]);
     let setup = Setup::default();
-    for &nodes in &NODE_SWEEP {
-        for w in AstroWorkload::sweep() {
-            let cluster = setup.cluster_for(Engine::Spark, nodes);
-            let g = astro::spark(&w, &setup.cm, &setup.profiles, &cluster);
-            let report = check(&g, &cluster, &setup.profiles.invariants(Engine::Spark));
-            assert_clean(
-                &report,
-                &format!("astro Spark visits={} nodes={nodes}", w.visits),
-            );
-
-            let cluster = setup.cluster_for(Engine::Myria, nodes);
-            for mode in [
-                ExecutionMode::Pipelined,
-                ExecutionMode::Materialized,
-                ExecutionMode::MultiQuery { pieces: 4 },
-            ] {
-                let (g, strict) = astro::myria(&w, &setup.cm, &setup.profiles, &cluster, mode);
-                let report = check(&g, &cluster, &setup.profiles.invariants(Engine::Myria));
-                let name = format!("astro Myria {mode:?} visits={} nodes={nodes}", w.visits);
-                // Only the full-scale pipelined plan on 16 nodes may (and
-                // must) overrun: two ~31 GB coadd stacks land on one node.
-                if mode == ExecutionMode::Pipelined && nodes == 16 && w.visits == 24 {
-                    assert!(strict, "pipelined execution has no spill fallback");
-                    assert!(
-                        report.has(Code::M001),
-                        "{name} must statically reproduce the Figure 15 OOM"
-                    );
-                    assert!(
-                        report.errors().all(|d| is_memory(d.code)),
-                        "{name} may only carry memory errors"
-                    );
-                } else {
-                    assert_clean(&report, &name);
-                }
-            }
-
-            let cluster = setup.cluster_for(Engine::SciDb, nodes);
-            let g = astro::scidb_coadd(&w, &setup.cm, &setup.profiles, &cluster, 1000);
-            let report = check(&g, &cluster, &setup.profiles.invariants(Engine::SciDb));
-            assert_clean(
-                &report,
-                &format!("astro SciDB visits={} nodes={nodes}", w.visits),
-            );
-        }
-    }
+    let cluster = setup.cluster_for(Engine::Myria, 16);
+    let w = AstroWorkload { visits: 24 };
+    let (_, strict) = astro::myria(
+        &w,
+        &setup.cm,
+        &setup.profiles,
+        &cluster,
+        ExecutionMode::Pipelined,
+    );
+    assert!(strict, "pipelined execution has no spill fallback");
 }
 
 #[test]
 fn ingest_sweep_is_clean_for_all_six_systems() {
-    let setup = Setup::default();
-    let w = NeuroWorkload { subjects: 25 };
-    for &nodes in &NODE_SWEEP {
-        let lowerings: [(&str, Engine); 6] = [
-            ("Dask", Engine::Dask),
-            ("Myria", Engine::Myria),
-            ("Spark", Engine::Spark),
-            ("TensorFlow", Engine::TensorFlow),
-            ("SciDB from_array", Engine::SciDb),
-            ("SciDB aio_input", Engine::SciDb),
-        ];
-        for (label, engine) in lowerings {
-            let cluster = setup.cluster_for(engine, nodes);
-            let g = match label {
-                "Dask" => ingest::dask(&w, &setup.cm, &setup.profiles, &cluster),
-                "Myria" => ingest::myria(&w, &setup.cm, &setup.profiles, &cluster),
-                "Spark" => ingest::spark(&w, &setup.cm, &setup.profiles, &cluster),
-                "TensorFlow" => ingest::tensorflow(&w, &setup.cm, &setup.profiles, &cluster),
-                "SciDB from_array" => {
-                    ingest::scidb_from_array(&w, &setup.cm, &setup.profiles, &cluster)
-                }
-                _ => ingest::scidb_aio(&w, &setup.cm, &setup.profiles, &cluster),
-            };
-            let report = check(&g, &cluster, &setup.profiles.invariants(engine));
-            assert_clean(&report, &format!("ingest {label} nodes={nodes}"));
-        }
-    }
+    assert_eq!(sweep("ingest").len(), 12, "six systems at two node counts");
 }

@@ -204,6 +204,15 @@ pub fn cube_for_survey(survey: &SkySurvey) -> NdArray<f64> {
     cube
 }
 
+/// `n` test-scale dMRI phantom subjects seeded `base`, `base + 1`, ...
+pub fn demo_subjects(base: u64, n: usize) -> Vec<Subject> {
+    use sciops::synth::dmri::{DmriPhantom, DmriSpec};
+    let spec = DmriSpec::test_scale();
+    (0..n)
+        .map(|i| Subject::from_phantom(i as u32, &DmriPhantom::generate(base + i as u64, &spec)))
+        .collect()
+}
+
 /// The demo catalog the serve bench (and the service's own tests) run
 /// against: two versions of a dMRI dataset, a test-scale sky survey with
 /// its first-patch cube, and a 24-visit survey whose full-pipeline
@@ -213,18 +222,7 @@ pub fn cube_for_survey(survey: &SkySurvey) -> NdArray<f64> {
 /// All content is generated from fixed seeds, so every process computes
 /// the same fingerprints. `quick` shrinks the subject counts for CI.
 pub fn demo_catalog(quick: bool) -> Catalog {
-    use sciops::synth::dmri::{DmriPhantom, DmriSpec};
-
-    let subjects = |base: u64, n: usize| -> DatasetPayload {
-        let spec = DmriSpec::test_scale();
-        let subs: Vec<Subject> = (0..n)
-            .map(|i| {
-                let phantom = DmriPhantom::generate(base + i as u64, &spec);
-                Subject::from_phantom(i as u32, &phantom)
-            })
-            .collect();
-        DatasetPayload::Neuro(Arc::new(subs))
-    };
+    let subjects = |base, n| DatasetPayload::Neuro(Arc::new(demo_subjects(base, n)));
 
     let mut cat = Catalog::new();
     let n = if quick { 1 } else { 2 };

@@ -31,7 +31,7 @@ pub mod fp;
 pub mod query;
 pub mod server;
 
-pub use catalog::{cube_for_survey, demo_catalog, Catalog, Dataset, DatasetPayload};
+pub use catalog::{cube_for_survey, demo_catalog, demo_subjects, Catalog, Dataset, DatasetPayload};
 pub use fp::Fingerprint;
 pub use query::{AstroMode, Pipeline, QueryDesc};
 pub use server::{Response, ServeOutcome, Server, StageOutcome};

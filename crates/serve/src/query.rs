@@ -8,6 +8,7 @@
 //! astronomy pipeline, is rejected the same way the paper reports "NA".
 
 use scibench_core::lower::Engine;
+use scibench_core::registry::UseCase;
 
 /// The pipelines the service can execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,6 +40,18 @@ impl Pipeline {
             Pipeline::AstroFull => "astro-full",
             Pipeline::AstroCoadd => "astro-coadd",
             Pipeline::FixtureAmbient => "fixture-ambient",
+        }
+    }
+
+    /// The registry use case whose capability decides which engines may
+    /// run this pipeline; `None` for the engine-independent fixture.
+    pub fn use_case(&self) -> Option<UseCase> {
+        match self {
+            Pipeline::NeuroSegment | Pipeline::NeuroDenoise => Some(UseCase::NeuroSteps),
+            Pipeline::NeuroFa => Some(UseCase::NeuroE2e),
+            Pipeline::AstroFull => Some(UseCase::AstroE2e),
+            Pipeline::AstroCoadd => Some(UseCase::AstroCoadd),
+            Pipeline::FixtureAmbient => None,
         }
     }
 }

@@ -55,9 +55,9 @@ use std::time::Instant;
 use marray::{Mask, NdArray};
 use parexec::{CostHint, MorselPool, Parallelism};
 use plancheck::{combine_fingerprints, graph_fingerprint, OpBinding, OpClass};
-use scibench_core::experiments::{tuned_partitions, Setup};
-use scibench_core::lower::Engine;
-use scibench_core::lower::{astro as lower_astro, neuro as lower_neuro, steps as lower_steps};
+use scibench_core::experiments::Setup;
+use scibench_core::lower::{astro as lower_astro, steps as lower_steps};
+use scibench_core::registry::{lower_astro_e2e, lower_neuro_e2e, run_astro_coadd, run_astro_e2e};
 use scibench_core::usecases::astro as astro_uc;
 use scibench_core::usecases::neuro as neuro_uc;
 use scibench_core::workload::{AstroWorkload, NeuroWorkload};
@@ -504,29 +504,7 @@ impl Server {
                         certified: certified(&den),
                     });
                     if q.pipeline == Pipeline::NeuroFa {
-                        let full = match q.engine {
-                            Engine::Spark => lower_neuro::spark(
-                                &w,
-                                &self.setup.cm,
-                                &self.setup.profiles,
-                                &cluster,
-                                Some(tuned_partitions(&cluster)),
-                                true,
-                            ),
-                            Engine::Myria => lower_neuro::myria(
-                                &w,
-                                &self.setup.cm,
-                                &self.setup.profiles,
-                                &cluster,
-                            ),
-                            Engine::Dask => lower_neuro::dask(
-                                &w,
-                                &self.setup.cm,
-                                &self.setup.profiles,
-                                &cluster,
-                            ),
-                            _ => unreachable!("validated: only the e2e engines reach here"),
-                        };
+                        let full = lower_neuro_e2e(&self.setup, q.engine, &w, &cluster);
                         admit(&full)?;
                         stages.push(StagePlan {
                             name: "fa",
@@ -542,22 +520,9 @@ impl Server {
                     _ => unreachable!("validated as a survey payload"),
                 };
                 let w = AstroWorkload { visits };
-                let graph = match q.engine {
-                    Engine::Spark => {
-                        lower_astro::spark(&w, &self.setup.cm, &self.setup.profiles, &cluster)
-                    }
-                    Engine::Myria => {
-                        lower_astro::myria(
-                            &w,
-                            &self.setup.cm,
-                            &self.setup.profiles,
-                            &cluster,
-                            q.mode.execution_mode(),
-                        )
-                        .0
-                    }
-                    _ => unreachable!("validated: only Spark/Myria reach here"),
-                };
+                let (graph, _strict) =
+                    lower_astro_e2e(&self.setup, q.engine, &w, &cluster, q.mode.execution_mode())
+                        .ok_or("validated: only the astronomy e2e engines reach here")?;
                 admit(&graph)?;
                 stages.push(StagePlan {
                     name: "astro-full",
@@ -604,24 +569,22 @@ impl Server {
     }
 }
 
-/// Which engine/pipeline/payload combinations are expressible, mirroring
-/// the paper's capability matrix.
+/// Which engine/pipeline/payload combinations are expressible: the
+/// engine half is the registry's Table 1 capability for the pipeline's
+/// use case.
 fn validate(q: &QueryDesc, dataset: &Dataset) -> Result<(), String> {
     if q.nodes == 0 {
         return Err("admission: a zero-node cluster cannot run anything".to_string());
     }
-    let engine_ok = match q.pipeline {
-        Pipeline::NeuroSegment | Pipeline::NeuroDenoise | Pipeline::FixtureAmbient => true,
-        Pipeline::NeuroFa => Engine::neuro_e2e().contains(&q.engine),
-        Pipeline::AstroFull => Engine::astro_e2e().contains(&q.engine),
-        Pipeline::AstroCoadd => q.engine == Engine::SciDb,
-    };
-    if !engine_ok {
-        return Err(format!(
-            "{} cannot express `{}` (the paper reports this combination NA)",
-            q.engine.name(),
-            q.pipeline.name()
-        ));
+    if let Some(use_case) = q.pipeline.use_case() {
+        let cap = q.engine.capability(use_case);
+        if !cap.is_runnable() {
+            return Err(format!(
+                "{} cannot express `{}` ({cap})",
+                q.engine.name(),
+                q.pipeline.name()
+            ));
+        }
     }
     let payload_ok = match q.pipeline {
         Pipeline::NeuroSegment
@@ -647,9 +610,15 @@ fn validate(q: &QueryDesc, dataset: &Dataset) -> Result<(), String> {
     Ok(())
 }
 
-/// Execute one stage. Always runs the same shared kernels regardless of
-/// cache state — cache-on and cache-off runs are byte-identical by
+/// Execute one stage. Always runs the same code regardless of cache
+/// state — cache-on and cache-off runs are byte-identical by
 /// construction, which the serve bench verifies end to end.
+///
+/// For the neuro stages the engine is only the admission and plan label:
+/// they run the shared `sciops` kernels whichever engine the query names,
+/// and the engine selects which lowered plan was admitted and
+/// fingerprinted. `astro-full` and `coadd` execute the named engine's
+/// eager analog through the registry runners.
 fn exec_stage(name: &str, q: &QueryDesc, dataset: &Dataset, prev: Option<&Cached>) -> Payload {
     match (name, &dataset.payload) {
         ("segment", DatasetPayload::Neuro(subs)) => {
@@ -685,18 +654,15 @@ fn exec_stage(name: &str, q: &QueryDesc, dataset: &Dataset, prev: Option<&Cached
             Payload::Vols(Arc::new(out))
         }
         ("astro-full", DatasetPayload::AstroSurvey(sv)) => {
-            // Execution runs the test-scale engine analogs at their e2e
-            // bench shapes; `q.nodes` sizes only the admission model.
-            let result = match q.engine {
-                Engine::Spark => astro_uc::spark(sv, 6),
-                Engine::Myria => astro_uc::myria(sv, 4, 1),
-                _ => unreachable!("validated: only Spark/Myria reach here"),
-            };
+            // The registry's test-scale shapes; `q.nodes` sizes only the
+            // admission model.
+            let result =
+                run_astro_e2e(q.engine, sv).expect("validated: only astro e2e engines reach here");
             Payload::Astro(Arc::new(result))
         }
         ("coadd", DatasetPayload::AstroCube(cube)) => {
-            let db = engine_array::ArrayDb::connect(4);
-            let out = astro_uc::scidb_coadd_cube(&db, cube, 8)
+            let out = run_astro_coadd(q.engine, cube)
+                .expect("validated: only cube-coadd engines reach here")
                 .expect("the registered cube satisfies the coadd's shape contract");
             Payload::Coadd(Arc::new(out))
         }
@@ -728,6 +694,7 @@ mod tests {
     use crate::catalog::demo_catalog;
     use crate::query::AstroMode;
     use marray::CopyCounter;
+    use scibench_core::lower::Engine;
     use std::path::Path;
 
     fn workspace_root() -> &'static Path {
@@ -880,16 +847,36 @@ mod tests {
 
     #[test]
     fn inexpressible_combinations_are_refused() {
-        let srv = server();
-        for q in [
-            QueryDesc::new(Engine::TensorFlow, Pipeline::NeuroFa, "dmri", 1),
-            QueryDesc::new(Engine::SciDb, Pipeline::AstroFull, "hits", 1),
-            QueryDesc::new(Engine::Spark, Pipeline::AstroCoadd, "hits-cube", 1),
-            QueryDesc::new(Engine::Spark, Pipeline::AstroFull, "dmri", 1),
-            QueryDesc::new(Engine::Spark, Pipeline::NeuroFa, "nope", 1),
-        ] {
-            assert!(srv.serve_one(&q).is_rejected(), "{}", q.key());
-        }
+        // Every (engine, pipeline) cell of the registry: NA/X cells are
+        // refused with the registry's reason, runnable cells served.
+        marray::with_mem_budget(None, || {
+            let srv = server();
+            for (pipeline, dataset) in [
+                (Pipeline::NeuroSegment, "dmri"),
+                (Pipeline::NeuroDenoise, "dmri"),
+                (Pipeline::NeuroFa, "dmri"),
+                (Pipeline::AstroFull, "hits"),
+                (Pipeline::AstroCoadd, "hits-cube"),
+            ] {
+                for engine in Engine::all() {
+                    let q = QueryDesc::new(engine, pipeline, dataset, 1);
+                    let cap = engine.capability(pipeline.use_case().expect("engine-bearing"));
+                    match (srv.serve_one(&q), cap.is_runnable()) {
+                        (ServeOutcome::Done(_), true) => {}
+                        (ServeOutcome::Rejected { reason, .. }, false) => {
+                            assert!(reason.contains(&cap.to_string()), "{reason}");
+                        }
+                        (outcome, _) => panic!("{} ({cap}): {outcome:?}", q.key()),
+                    }
+                }
+            }
+            for q in [
+                QueryDesc::new(Engine::Spark, Pipeline::AstroFull, "dmri", 1),
+                QueryDesc::new(Engine::Spark, Pipeline::NeuroFa, "nope", 1),
+            ] {
+                assert!(srv.serve_one(&q).is_rejected(), "{}", q.key());
+            }
+        });
     }
 
     #[test]

@@ -1,9 +1,15 @@
 #!/usr/bin/env bash
 # Tier-1 gate: formatting, the workspace lint wall, the full test suite,
-# and the static plan lint over every shipped lowering. Run before every
-# push; CI runs exactly this script.
+# the static plan lint over every shipped lowering, the paper's headline
+# shape claims, and every bench gate with its schema-drift check. Run
+# before every push; CI runs exactly this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+scibench() { cargo run --release -q -p scibench-bench --bin scibench -- "$@"; }
 
 echo "== cargo fmt --check"
 cargo fmt --all --check
@@ -20,127 +26,52 @@ echo "== scilint --flow (sciflow: interprocedural effect gate)"
 # Panic/nondet/copy/spawn sinks reachable from engine entry points, each
 # with its witness call chain; details in DESIGN.md §3.12. Also checks the
 # machine-readable report still speaks sciflow/v1.
-tmp_flow="$(mktemp)"
-trap 'rm -f "$tmp_flow"' EXIT
-cargo run --release -q -p scilint --bin scilint -- --flow --json > "$tmp_flow"
+cargo run --release -q -p scilint --bin scilint -- --flow --json > "$tmp/flow.json"
 flow_schema='"schema": "sciflow/v1"'
-grep -qF "$flow_schema" "$tmp_flow" || {
+grep -qF "$flow_schema" "$tmp/flow.json" || {
   echo "ci: FAIL - scilint --flow no longer emits $flow_schema" >&2; exit 1; }
-
-echo "== scibench lint --memo (memoization-soundness certifier)"
-# Certifies every shipped lowering for result-cache soundness (scilint
-# purity verdicts joined with plancheck plan fingerprints), asserts the
-# deliberately-unsafe fixture is rejected with its witness chain, and
-# checks the committed MEMO_report.json still speaks scimemo/v2 (v2 added
-# the live memo_stats counter block); details in DESIGN.md §3.14.
-tmp_memo="$(mktemp)"
-trap 'rm -f "$tmp_flow" "$tmp_memo"' EXIT
-cargo run --release -q -p scibench-bench --bin scibench -- lint --memo --out "$tmp_memo"
-memo_schema='"schema": "scimemo/v2"'
-grep -qF "$memo_schema" "$tmp_memo" || {
-  echo "ci: FAIL - lint --memo no longer emits $memo_schema" >&2; exit 1; }
-grep -qF "$memo_schema" MEMO_report.json || {
-  echo "ci: FAIL - committed MEMO_report.json schema drifted from $memo_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- lint --memo --out MEMO_report.json" >&2
-  exit 1; }
 
 echo "== cargo test"
 cargo test -q --workspace
 
 echo "== scibench lint (static verification of lowered task graphs)"
-cargo run --release -q -p scibench-bench --bin scibench -- lint
+scibench lint
+
+echo "== reproduce --check (the paper's headline shape claims)"
+# Exits non-zero unless every claim holds (11/11); details in EXPERIMENTS.md.
+cargo run --release -q -p scibench-bench --bin reproduce -- --check
 
 echo "== scibench perf-smoke (serial vs parallel kernels, bit-identical)"
 # Tiny shapes, ~seconds: asserts every parallel kernel port matches the
 # serial reference bit for bit, and that SCIBENCH_THREADS is honored.
-SCIBENCH_THREADS=2 cargo run --release -q -p scibench-bench --bin scibench -- perf-smoke
-cargo run --release -q -p scibench-bench --bin scibench -- perf-smoke --threads 4
+SCIBENCH_THREADS=2 scibench perf-smoke
+scibench perf-smoke --threads 4
 
-echo "== scibench bench e2e --quick (copy accounting, eager vs shared)"
-# Runs every engine pipeline under both copy modes (bit-identity enforced
-# by the tool: non-zero exit on fingerprint divergence) and checks the
-# committed BENCH_e2e.json still speaks the schema the tool emits.
-tmp_e2e="$(mktemp)"
-tmp_skew="$(mktemp)"
-tmp_compress="$(mktemp)"
-trap 'rm -f "$tmp_e2e" "$tmp_skew" "$tmp_compress" "$tmp_flow" "$tmp_memo"' EXIT
-cargo run --release -q -p scibench-bench --bin scibench -- bench e2e --quick --out "$tmp_e2e"
-schema_line='"schema": "scibench-bench-e2e/v1"'
-grep -qF "$schema_line" "$tmp_e2e" || {
-  echo "ci: FAIL - bench e2e no longer emits $schema_line" >&2; exit 1; }
-grep -qF "$schema_line" BENCH_e2e.json || {
-  echo "ci: FAIL - committed BENCH_e2e.json schema drifted from $schema_line" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench e2e --out BENCH_e2e.json" >&2
-  exit 1; }
-
-echo "== scibench bench skew --quick (morsel vs static worker imbalance)"
-# Runs the skewed astro field through both schedules at 2/4/8 workers
-# (bit-identity is enforced by the tool: non-zero exit on fingerprint
-# divergence; the morsel<=static model-imbalance regression is enforced
-# on the full run that regenerates the committed artifact) and checks the
-# committed BENCH_skew.json still speaks the schema the tool emits.
-cargo run --release -q -p scibench-bench --bin scibench -- bench skew --quick --out "$tmp_skew"
-skew_schema='"schema": "scibench-bench-skew/v1"'
-grep -qF "$skew_schema" "$tmp_skew" || {
-  echo "ci: FAIL - bench skew no longer emits $skew_schema" >&2; exit 1; }
-grep -qF "$skew_schema" BENCH_skew.json || {
-  echo "ci: FAIL - committed BENCH_skew.json schema drifted from $skew_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench skew --out BENCH_skew.json" >&2
-  exit 1; }
-
-echo "== scibench bench compress --quick (codec ratios + run-level kernel wins)"
-# Measures per-plane compression at the engine ingest boundary, runs the
-# run-level kernel fast paths against their dense twins, and replays two
-# full pipelines under CompressMode Off and Auto (the tool exits non-zero
-# on a fingerprint divergence, a mask/variance ratio below 2x, or a kernel
-# row with neither a time nor a bytes-moved win). Also checks the committed
-# BENCH_compress.json still speaks the schema the tool emits.
-cargo run --release -q -p scibench-bench --bin scibench -- bench compress --quick --out "$tmp_compress"
-compress_schema='"schema": "scibench-bench-compress/v1"'
-grep -qF "$compress_schema" "$tmp_compress" || {
-  echo "ci: FAIL - bench compress no longer emits $compress_schema" >&2; exit 1; }
-grep -qF "$compress_schema" BENCH_compress.json || {
-  echo "ci: FAIL - committed BENCH_compress.json schema drifted from $compress_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench compress --out BENCH_compress.json" >&2
-  exit 1; }
-
-echo "== scibench bench serve --quick (resident service, certified zero-copy cache)"
-# Replays the seeded hot/cold query schedule against the resident service
-# four ways — serial cache-on, concurrent cache-on, serial cache-off, and
-# under a halved cache budget that forces LRU eviction — with the tool
-# exiting non-zero on any fingerprint divergence, a warm hit that moved
-# bytes, an unrejected Figure 15 plan, an uncertified fixture request that
-# did not bypass, or a small-budget replay that never evicted or overran
-# its budget. Also checks the committed BENCH_serve.json still speaks the
-# schema the tool emits.
-tmp_serve="$(mktemp)"
-trap 'rm -f "$tmp_e2e" "$tmp_skew" "$tmp_compress" "$tmp_serve" "$tmp_flow" "$tmp_memo"' EXIT
-cargo run --release -q -p scibench-bench --bin scibench -- bench serve --quick --out "$tmp_serve"
-serve_schema='"schema": "scibench-bench-serve/v1"'
-grep -qF "$serve_schema" "$tmp_serve" || {
-  echo "ci: FAIL - bench serve no longer emits $serve_schema" >&2; exit 1; }
-grep -qF "$serve_schema" BENCH_serve.json || {
-  echo "ci: FAIL - committed BENCH_serve.json schema drifted from $serve_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench serve --out BENCH_serve.json" >&2
-  exit 1; }
-
-echo "== scibench bench ooc --quick (memory governor, LRU spill tier)"
-# Streams a stack deliberately larger than the memory budget through the
-# governor at 25%/50%/unbounded budgets and runs every engine analog
-# out-of-core; the tool exits non-zero if any fingerprint diverges across
-# budgets, a bounded row fails to spill+reload or overruns its budget, the
-# plancheck demand estimate drifts outside the documented factor of the
-# measured peak, or no engine analog spills. Also checks the committed
-# BENCH_ooc.json still speaks the schema the tool emits.
-tmp_ooc="$(mktemp)"
-trap 'rm -f "$tmp_e2e" "$tmp_skew" "$tmp_compress" "$tmp_serve" "$tmp_ooc" "$tmp_flow" "$tmp_memo"' EXIT
-cargo run --release -q -p scibench-bench --bin scibench -- bench ooc --quick --out "$tmp_ooc"
-ooc_schema='"schema": "scibench-bench-ooc/v1"'
-grep -qF "$ooc_schema" "$tmp_ooc" || {
-  echo "ci: FAIL - bench ooc no longer emits $ooc_schema" >&2; exit 1; }
-grep -qF "$ooc_schema" BENCH_ooc.json || {
-  echo "ci: FAIL - committed BENCH_ooc.json schema drifted from $ooc_schema" >&2
-  echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- bench ooc --out BENCH_ooc.json" >&2
-  exit 1; }
+# Every artifact-emitting gate. Each tool exits non-zero on its own
+# violations (fingerprint divergence across copy/compress/budget modes or
+# schedules, a warm hit that moved bytes, an unrejected Figure 15 plan, a
+# bounded run that did not spill or overran its budget, ...; DESIGN.md
+# §3.10-§3.16), then the emitted and the committed artifact must both
+# speak the schema the tool emits.
+while IFS='|' read -r args artifact schema <&3; do
+  echo "== scibench $args ($artifact)"
+  out="$tmp/$artifact"
+  # shellcheck disable=SC2086 # $args is a word list by design
+  scibench $args --out "$out"
+  schema_line="\"schema\": \"$schema\""
+  grep -qF "$schema_line" "$out" || {
+    echo "ci: FAIL - scibench $args no longer emits $schema_line" >&2; exit 1; }
+  grep -qF "$schema_line" "$artifact" || {
+    echo "ci: FAIL - committed $artifact schema drifted from $schema_line" >&2
+    echo "     regenerate it: cargo run --release -p scibench-bench --bin scibench -- ${args% --quick} --out $artifact" >&2
+    exit 1; }
+done 3<<'GATES'
+lint --memo|MEMO_report.json|scimemo/v2
+bench e2e --quick|BENCH_e2e.json|scibench-bench-e2e/v1
+bench skew --quick|BENCH_skew.json|scibench-bench-skew/v1
+bench compress --quick|BENCH_compress.json|scibench-bench-compress/v1
+bench serve --quick|BENCH_serve.json|scibench-bench-serve/v1
+bench ooc --quick|BENCH_ooc.json|scibench-bench-ooc/v1
+GATES
 
 echo "ci: all gates passed"
