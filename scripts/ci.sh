@@ -34,6 +34,11 @@ grep -qF "$flow_schema" "$tmp/flow.json" || {
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== perfbench tests (the benchmark's own checks)"
+# perfbench is a workspace of its own, so --workspace above skips it. Its
+# tests pin the staged reference rows bit for bit against the pipelines.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== scibench lint (static verification of lowered task graphs)"
 scibench lint
 
