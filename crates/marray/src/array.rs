@@ -325,22 +325,8 @@ impl<T: Element> NdArray<T> {
             });
         }
         let out_shape = self.shape.without_axis(axis)?;
-        let strides = self.shape.strides();
-        // The slice is a strided copy: iterate output indices and map back.
-        let mut data = Vec::with_capacity(out_shape.len());
-        let mut src_ix = vec![0usize; self.shape.rank()];
-        for out_ix in out_shape.indices() {
-            let (head, tail) = out_ix.split_at(axis);
-            src_ix[..axis].copy_from_slice(head);
-            src_ix[axis] = index;
-            src_ix[axis + 1..].copy_from_slice(tail);
-            let off: usize = src_ix.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            data.push(self.d()[off]);
-        }
-        Ok(NdArray {
-            shape: out_shape,
-            data: ChunkBuf::from_vec(data),
-        })
+        let data = self.take_runs(axis, &[index]);
+        Ok(Self::from_parts(out_shape, data))
     }
 
     /// Select a subset of positions along `axis` (NumPy `take`).
@@ -360,19 +346,27 @@ impl<T: Element> NdArray<T> {
             }
         }
         let out_shape = self.shape.with_axis(axis, positions.len())?;
-        let mut data = Vec::with_capacity(out_shape.len());
-        let strides = self.shape.strides();
-        let mut src_ix = vec![0usize; self.shape.rank()];
-        for out_ix in out_shape.indices() {
-            src_ix.copy_from_slice(&out_ix);
-            src_ix[axis] = positions[out_ix[axis]];
-            let off: usize = src_ix.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            data.push(self.d()[off]);
+        let data = self.take_runs(axis, positions);
+        Ok(Self::from_parts(out_shape, data))
+    }
+
+    /// Internal: the elements at `positions` along `axis`, in row-major
+    /// order of the result. Each position contributes one contiguous run
+    /// of everything inside `axis` per outer block.
+    fn take_runs(&self, axis: usize, positions: &[usize]) -> Vec<T> {
+        let (outer, n, inner) = self.shape.split_at_axis(axis);
+        let len = outer * positions.len() * inner;
+        let mut data = Vec::with_capacity(len);
+        if len > 0 {
+            let src = self.d();
+            for block in 0..outer {
+                for &p in positions {
+                    let start = (block * n + p) * inner;
+                    data.extend_from_slice(&src[start..start + inner]);
+                }
+            }
         }
-        Ok(NdArray {
-            shape: out_shape,
-            data: ChunkBuf::from_vec(data),
-        })
+        data
     }
 
     /// Extract the hyper-rectangle `[starts[i], starts[i] + dims[i])` on each
@@ -394,20 +388,29 @@ impl<T: Element> NdArray<T> {
         }
         let out_shape = Shape::new(dims);
         let strides = self.shape.strides();
-        let mut data = Vec::with_capacity(out_shape.len());
-        for out_ix in out_shape.indices() {
-            let off: usize = out_ix
-                .iter()
-                .zip(starts)
-                .zip(&strides)
-                .map(|((&i, &s0), &s)| (i + s0) * s)
-                .sum();
-            data.push(self.d()[off]);
+        let data = self.gather_box(dims, &strides, dot(starts, &strides));
+        Ok(Self::from_parts(out_shape, data))
+    }
+
+    /// Internal: the box `dims` whose origin sits at flat offset `base`,
+    /// with per-axis source `strides`, gathered into a row-major vector.
+    /// Reads the buffer only when the box holds elements.
+    fn gather_box(&self, dims: &[usize], strides: &[usize], base: usize) -> Vec<T> {
+        let len = dims.iter().product();
+        let mut data = Vec::with_capacity(len);
+        if len > 0 {
+            let src = self.d();
+            let run = dims.last().copied().unwrap_or(1);
+            let step = strides.last().copied().unwrap_or(1);
+            for_each_row(dims, strides, base, &mut |start| {
+                if step == 1 {
+                    data.extend_from_slice(&src[start..start + run]);
+                } else {
+                    data.extend((0..run).map(|i| src[start + i * step]));
+                }
+            });
         }
-        Ok(NdArray {
-            shape: out_shape,
-            data: ChunkBuf::from_vec(data),
-        })
+        data
     }
 
     /// Write `patch` into this array at origin `starts` (inverse of
@@ -429,14 +432,15 @@ impl<T: Element> NdArray<T> {
         }
         let strides = self.shape.strides();
         let dst = self.data.make_mut("cow");
-        for src_ix in patch.shape.indices() {
-            let off: usize = src_ix
-                .iter()
-                .zip(starts)
-                .zip(&strides)
-                .map(|((&i, &s0), &s)| (i + s0) * s)
-                .sum();
-            dst[off] = patch.d()[patch.shape.offset(&src_ix)];
+        if !patch.is_empty() {
+            let src = patch.d();
+            let run = patch.dims().last().copied().unwrap_or(1);
+            let base = dot(starts, &strides);
+            let mut read = 0;
+            for_each_row(patch.dims(), &strides, base, &mut |start| {
+                dst[start..start + run].copy_from_slice(&src[read..read + run]);
+                read += run;
+            });
         }
         Ok(())
     }
@@ -477,38 +481,26 @@ impl<T: Element> NdArray<T> {
     /// output axis `i` (NumPy `transpose`). Produces a contiguous copy.
     pub fn permute_axes(&self, perm: &[usize]) -> Result<Self> {
         let rank = self.shape.rank();
-        let mut seen = vec![false; rank];
         let valid = perm.len() == rank
-            && perm.iter().all(|&a| {
-                if a >= rank || seen[a] {
-                    false
-                } else {
-                    seen[a] = true;
-                    true
-                }
-            });
+            && perm
+                .iter()
+                .enumerate()
+                .all(|(i, &a)| a < rank && !perm[..i].contains(&a));
         if !valid {
             return Err(ArrayError::ShapeMismatch {
                 expected: (0..rank).collect(),
                 got: perm.to_vec(),
             });
         }
-        let out_dims: Vec<usize> = perm.iter().map(|&a| self.shape.dim(a)).collect();
-        let out_shape = Shape::new(&out_dims);
-        let strides = self.shape.strides();
-        let mut data = Vec::with_capacity(self.data.len());
-        let mut src_ix = vec![0usize; rank];
-        for out_ix in out_shape.indices() {
-            for (i, &a) in perm.iter().enumerate() {
-                src_ix[a] = out_ix[i];
-            }
-            let off: usize = src_ix.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            data.push(self.d()[off]);
-        }
-        Ok(NdArray {
-            shape: out_shape,
-            data: ChunkBuf::from_vec(data),
-        })
+        let out_shape = self.shape.permuted(perm);
+        // Source stride of each output axis.
+        let dims = self.shape.dims();
+        let strides: Vec<usize> = perm
+            .iter()
+            .map(|&a| dims[a + 1..].iter().product())
+            .collect();
+        let data = self.gather_box(out_shape.dims(), &strides, 0);
+        Ok(Self::from_parts(out_shape, data))
     }
 
     /// Apply `f` to every element, producing a new array.
@@ -569,6 +561,32 @@ impl<T: Element> std::ops::IndexMut<&[usize]> for NdArray<T> {
     fn index_mut(&mut self, index: &[usize]) -> &mut T {
         let off = self.shape.offset(index);
         &mut self.data.make_mut("cow")[off]
+    }
+}
+
+/// Flat offset of the multi-index `ix` under per-axis `strides`.
+fn dot(ix: &[usize], strides: &[usize]) -> usize {
+    ix.iter().zip(strides).map(|(&i, &s)| i * s).sum()
+}
+
+/// The row walker behind every strided copy: calls `row(start)` for each
+/// innermost row of the box `dims`, in row-major order, with the flat
+/// offset of the row's first element in a buffer whose per-axis strides
+/// are `strides` and where the box's origin sits at `base`. A rank-0 box
+/// is one row of one element.
+///
+/// The loop nest over the outer axes is an odometer kept on the call
+/// stack: each level adds its stride to the running offset, so the walk
+/// allocates nothing and does no per-element index arithmetic. Callers
+/// skip empty boxes.
+fn for_each_row(dims: &[usize], strides: &[usize], base: usize, row: &mut impl FnMut(usize)) {
+    match (dims, strides) {
+        ([n, inner @ ..], [step, inner_strides @ ..]) if !inner.is_empty() => {
+            for i in 0..*n {
+                for_each_row(inner, inner_strides, base + i * step, row);
+            }
+        }
+        _ => row(base),
     }
 }
 
@@ -742,5 +760,377 @@ mod tests {
         assert_eq!(NdArray::<f32>::zeros(&[10]).nbytes(), 40);
         assert_eq!(NdArray::<f64>::zeros(&[10]).nbytes(), 80);
         assert_eq!(NdArray::<u8>::zeros(&[10]).nbytes(), 10);
+    }
+}
+
+/// Bit-identity oracle for the strided data-movement ops.
+///
+/// Every op that walks innermost rows (`subarray`, `write_subarray`,
+/// `slice_axis`, `take_axis`, `permute_axes`, `fold_axis` and the
+/// reductions built on it) is compared bit for bit against a naive
+/// per-index reference that lives only here: one multi-index at a time,
+/// mapped to a flat offset with [`Shape::offset`].
+#[cfg(test)]
+mod strided_oracle {
+    use crate::{
+        with_compress_mode, with_copy_mode, ChunkRepr, CodecCounter, CompressMode, CopyCounter,
+        CopyMode, Element, NdArray, Shape,
+    };
+
+    /// Exact bit patterns of every element (NaN payloads and `-0.0` included).
+    fn bits<T: Element>(a: &NdArray<T>) -> Vec<u64> {
+        a.data().iter().map(|v| v.to_ordered_u64()).collect()
+    }
+
+    fn assert_same<T: Element>(got: &NdArray<T>, want: &NdArray<T>, what: &str) {
+        assert_eq!(got.dims(), want.dims(), "{what}: dims");
+        assert_eq!(bits(got), bits(want), "{what}: bits");
+    }
+
+    /// A deterministic, non-repeating fill with a few awkward values.
+    fn fill<T: Element>(dims: &[usize]) -> NdArray<T> {
+        let mut n = 0u64;
+        NdArray::from_fn(dims, |_| {
+            n += 1;
+            let v = match n % 11 {
+                3 => -0.0,
+                7 => 0.1 + n as f64,
+                _ => ((n * 2_654_435_761) % 997) as f64 * 0.37 - 30.0,
+            };
+            T::from_f64(v)
+        })
+    }
+
+    fn at<T: Element>(a: &NdArray<T>, ix: &[usize]) -> T {
+        a.data()[a.shape().offset(ix)]
+    }
+
+    fn ref_subarray<T: Element>(a: &NdArray<T>, starts: &[usize], dims: &[usize]) -> NdArray<T> {
+        let out = Shape::new(dims);
+        let data = out
+            .indices()
+            .map(|ix| {
+                let src: Vec<usize> = ix.iter().zip(starts).map(|(&i, &s)| i + s).collect();
+                at(a, &src)
+            })
+            .collect();
+        NdArray::from_vec(dims, data).unwrap()
+    }
+
+    fn ref_write<T: Element>(a: &NdArray<T>, starts: &[usize], patch: &NdArray<T>) -> NdArray<T> {
+        let mut data = a.data().to_vec();
+        for ix in patch.shape().indices() {
+            let dst: Vec<usize> = ix.iter().zip(starts).map(|(&i, &s)| i + s).collect();
+            data[a.shape().offset(&dst)] = at(patch, &ix);
+        }
+        NdArray::from_vec(a.dims(), data).unwrap()
+    }
+
+    fn ref_take<T: Element>(a: &NdArray<T>, axis: usize, positions: &[usize]) -> NdArray<T> {
+        let out = a.shape().with_axis(axis, positions.len()).unwrap();
+        let data = out
+            .indices()
+            .map(|mut ix| {
+                ix[axis] = positions[ix[axis]];
+                at(a, &ix)
+            })
+            .collect();
+        NdArray::from_vec(out.dims(), data).unwrap()
+    }
+
+    fn ref_slice<T: Element>(a: &NdArray<T>, axis: usize, index: usize) -> NdArray<T> {
+        let out = a.shape().without_axis(axis).unwrap();
+        let data = out
+            .indices()
+            .map(|mut ix| {
+                ix.insert(axis, index);
+                at(a, &ix)
+            })
+            .collect();
+        NdArray::from_vec(out.dims(), data).unwrap()
+    }
+
+    fn ref_permute<T: Element>(a: &NdArray<T>, perm: &[usize]) -> NdArray<T> {
+        let dims: Vec<usize> = perm.iter().map(|&p| a.dims()[p]).collect();
+        let data = Shape::new(&dims)
+            .indices()
+            .map(|ix| {
+                let mut src = vec![0; ix.len()];
+                for (i, &p) in perm.iter().enumerate() {
+                    src[p] = ix[i];
+                }
+                at(a, &src)
+            })
+            .collect();
+        NdArray::from_vec(&dims, data).unwrap()
+    }
+
+    /// Per output cell, folds the inputs in increasing `axis` order.
+    fn ref_fold<T: Element>(
+        a: &NdArray<T>,
+        axis: usize,
+        init: f64,
+        fold: impl Fn(f64, f64) -> f64,
+        finish: impl Fn(f64, usize) -> f64,
+    ) -> NdArray<f64> {
+        let out = a.shape().without_axis(axis).unwrap();
+        let n = a.shape().dim(axis);
+        let data = out
+            .indices()
+            .map(|ix| {
+                let mut acc = init;
+                for k in 0..n {
+                    let mut src = ix.clone();
+                    src.insert(axis, k);
+                    acc = fold(acc, at(a, &src).to_f64());
+                }
+                finish(acc, n)
+            })
+            .collect();
+        NdArray::from_vec(out.dims(), data).unwrap()
+    }
+
+    /// Ranks 0–4 plus zero-extent axes in the first, middle and last place.
+    const SHAPES: &[&[usize]] = &[
+        &[],
+        &[5],
+        &[3, 4],
+        &[2, 3, 4],
+        &[2, 3, 2, 3],
+        &[0],
+        &[3, 0, 2],
+        &[0, 2],
+        &[2, 3, 0],
+    ];
+
+    /// Every permutation of `0..rank`.
+    fn permutations(rank: usize) -> Vec<Vec<usize>> {
+        if rank == 0 {
+            return vec![vec![]];
+        }
+        let mut out = Vec::new();
+        for p in permutations(rank - 1) {
+            for at in 0..=p.len() {
+                let mut q = p.clone();
+                q.insert(at, rank - 1);
+                out.push(q);
+            }
+        }
+        out
+    }
+
+    /// `(start, extent)` choices along one axis of extent `d`: the whole
+    /// axis, an interior offset run, a run touching the far edge, a single
+    /// element at the edge, and empty runs at both ends.
+    fn spans(d: usize) -> Vec<(usize, usize)> {
+        let mut s = vec![(0, d), (0, 0), (d, 0)];
+        if d >= 2 {
+            s.extend([(1, d - 1), (d - 1, 1), (0, d - 1)]);
+        }
+        if d >= 3 {
+            s.push((1, d - 2));
+        }
+        s
+    }
+
+    /// Every box of `spans` per axis: `(starts, dims)`.
+    fn boxes(dims: &[usize]) -> Vec<(Vec<usize>, Vec<usize>)> {
+        let mut out = vec![(vec![], vec![])];
+        for &d in dims {
+            let mut next = Vec::new();
+            for (starts, ext) in &out {
+                for (s, e) in spans(d) {
+                    let (mut s2, mut e2) = (starts.clone(), ext.clone());
+                    s2.push(s);
+                    e2.push(e);
+                    next.push((s2, e2));
+                }
+            }
+            out = next;
+        }
+        out
+    }
+
+    fn check_all_ops<T: Element>() {
+        for &dims in SHAPES {
+            let a = fill::<T>(dims);
+            let rank = dims.len();
+            for (starts, ext) in boxes(dims) {
+                let what = format!("subarray {dims:?} at {starts:?} of {ext:?}");
+                let sub = a.subarray(&starts, &ext).unwrap();
+                assert_same(&sub, &ref_subarray(&a, &starts, &ext), &what);
+                // Write a distinct patch back into the same box.
+                let patch = sub.map(|v| T::from_f64(v.to_f64() + 1.0));
+                let mut b = NdArray::from_vec(dims, a.data().to_vec()).unwrap();
+                b.write_subarray(&starts, &patch).unwrap();
+                assert_same(
+                    &b,
+                    &ref_write(&a, &starts, &patch),
+                    &format!("write_{what}"),
+                );
+            }
+            for axis in 0..rank {
+                let d = dims[axis];
+                for index in 0..d {
+                    let what = format!("slice_axis {dims:?} axis {axis} at {index}");
+                    let got = a.slice_axis(axis, index).unwrap();
+                    assert_same(&got, &ref_slice(&a, axis, index), &what);
+                }
+                let mut picks = vec![vec![]];
+                if d > 0 {
+                    picks.push(vec![d - 1, 0, d - 1, d / 2]);
+                    picks.push((0..d).rev().collect());
+                }
+                for positions in picks {
+                    let what = format!("take_axis {dims:?} axis {axis} {positions:?}");
+                    let got = a.take_axis(axis, &positions).unwrap();
+                    assert_same(&got, &ref_take(&a, axis, &positions), &what);
+                }
+                let what = format!("fold_axis {dims:?} axis {axis}");
+                let half = |acc: f64, v: f64| acc * 0.5 + v;
+                let finish = |acc: f64, n: usize| acc / (n as f64 + 0.3);
+                let got = a.fold_axis(axis, 0.25, half, finish);
+                assert_same(&got, &ref_fold(&a, axis, 0.25, half, finish), &what);
+                let sum = ref_fold(&a, axis, 0.0, |x, v| x + v, |x, _| x);
+                assert_same(&a.sum_axis(axis), &sum, &format!("sum_{what}"));
+                let mean = ref_fold(&a, axis, 0.0, |x, v| x + v, |x, n| x / n as f64);
+                assert_same(&a.mean_axis(axis), &mean, &format!("mean_{what}"));
+                let max = ref_fold(&a, axis, f64::NEG_INFINITY, f64::max, |x, _| x);
+                assert_same(&a.max_axis(axis), &max, &format!("max_{what}"));
+                let min = ref_fold(&a, axis, f64::INFINITY, f64::min, |x, _| x);
+                assert_same(&a.min_axis(axis), &min, &format!("min_{what}"));
+            }
+            if rank <= 3 {
+                for perm in permutations(rank) {
+                    let what = format!("permute_axes {dims:?} by {perm:?}");
+                    let got = a.permute_axes(&perm).unwrap();
+                    assert_same(&got, &ref_permute(&a, &perm), &what);
+                }
+            }
+        }
+        // The dataflow engine's volume-axis transposes and their round trip.
+        let a = fill::<T>(&[3, 4, 2, 5]);
+        let moved = a.permute_axes(&[3, 0, 1, 2]).unwrap();
+        assert_same(&moved, &ref_permute(&a, &[3, 0, 1, 2]), "permute [3,0,1,2]");
+        let back = moved.permute_axes(&[1, 2, 3, 0]).unwrap();
+        assert_same(
+            &back,
+            &ref_permute(&moved, &[1, 2, 3, 0]),
+            "permute [1,2,3,0]",
+        );
+        assert_same(&back, &a, "permute round trip");
+    }
+
+    #[test]
+    fn strided_ops_match_the_per_index_reference_for_f64() {
+        // Inside a mode section, so the ledger tests below see no traffic.
+        with_copy_mode(CopyMode::Shared, check_all_ops::<f64>);
+    }
+
+    #[test]
+    fn strided_ops_match_the_per_index_reference_for_u8() {
+        with_copy_mode(CopyMode::Shared, check_all_ops::<u8>);
+    }
+
+    /// Codec decodes and deep copies recorded while `f` runs.
+    fn ledger_delta(f: impl FnOnce()) -> (u64, u64) {
+        let (codec, copies) = (CodecCounter::snapshot(), CopyCounter::snapshot());
+        f();
+        let decodes = CodecCounter::snapshot().since(&codec).by_codec;
+        let copies = CopyCounter::snapshot().since(&copies).copies;
+        (decodes.values().map(|s| s.decodes).sum(), copies)
+    }
+
+    #[test]
+    fn compressed_inputs_decode_once_like_a_dense_access() {
+        // Counter deltas are only exact inside a mode section.
+        with_compress_mode(CompressMode::Auto, || {
+            with_copy_mode(CopyMode::Shared, || {
+                let dims = [4, 6, 5];
+                let runs = NdArray::<u8>::from_fn(&dims, |ix| u8::from(ix[0] >= 2));
+                let ones = NdArray::<u8>::full(&dims, 1);
+                for (dense, repr) in [(runs, ChunkRepr::Rle), (ones, ChunkRepr::Const)] {
+                    let fresh = || {
+                        let c = dense.compressed();
+                        assert_eq!(c.repr(), repr);
+                        c
+                    };
+                    let c = fresh();
+                    let one_access = ledger_delta(|| {
+                        c.data();
+                    });
+                    assert_eq!(one_access.0, 1, "{repr:?}: a dense access decodes once");
+                    type Op = Box<dyn Fn(&NdArray<u8>) -> Vec<u64>>;
+                    let ops: Vec<(&str, Op)> = vec![
+                        (
+                            "subarray",
+                            Box::new(|a: &NdArray<u8>| {
+                                bits(&a.subarray(&[1, 2, 1], &[3, 4, 3]).unwrap())
+                            }),
+                        ),
+                        (
+                            "slice_axis",
+                            Box::new(|a: &NdArray<u8>| bits(&a.slice_axis(1, 4).unwrap())),
+                        ),
+                        (
+                            "take_axis",
+                            Box::new(|a: &NdArray<u8>| bits(&a.take_axis(2, &[4, 0, 4]).unwrap())),
+                        ),
+                        (
+                            "permute_axes",
+                            Box::new(|a: &NdArray<u8>| bits(&a.permute_axes(&[2, 0, 1]).unwrap())),
+                        ),
+                        (
+                            "mean_axis",
+                            Box::new(|a: &NdArray<u8>| bits(&a.mean_axis(0))),
+                        ),
+                        (
+                            "write_subarray",
+                            Box::new(|patch: &NdArray<u8>| {
+                                let mut dst = NdArray::<u8>::zeros(&[6, 8, 7]);
+                                dst.write_subarray(&[1, 1, 2], patch).unwrap();
+                                bits(&dst)
+                            }),
+                        ),
+                    ];
+                    for (name, op) in &ops {
+                        let c = fresh();
+                        let mut got = Vec::new();
+                        let delta = ledger_delta(|| got = op(&c));
+                        assert_eq!(delta, one_access, "{repr:?} {name}: (decodes, copies)");
+                        assert_eq!(got, op(&dense), "{repr:?} {name}: bits");
+                    }
+                    // An empty box never reads the buffer, so it decodes nothing.
+                    let c = fresh();
+                    let empty = ledger_delta(|| {
+                        c.subarray(&[1, 0, 0], &[0, 6, 5]).unwrap();
+                        c.take_axis(1, &[]).unwrap();
+                    });
+                    assert_eq!(empty, (0, 0), "{repr:?}: empty boxes decode nothing");
+                }
+            });
+        });
+    }
+
+    #[test]
+    fn write_subarray_into_a_shared_buffer_records_one_cow() {
+        with_copy_mode(CopyMode::Shared, || {
+            let base = fill::<f64>(&[6, 7]);
+            let patch = fill::<f64>(&[3, 4]);
+            let mut dst = base.clone();
+            assert!(dst.shares_buffer(&base));
+            let before = CopyCounter::snapshot();
+            dst.write_subarray(&[2, 3], &patch).unwrap();
+            let delta = CopyCounter::snapshot().since(&before);
+            assert_eq!(delta.copies, 1, "exactly one copy: {delta:?}");
+            let cow = delta.by_reason.get("cow").copied().unwrap_or_default();
+            assert_eq!((cow.copies, cow.bytes), (1, 6 * 7 * 8));
+            assert!(!dst.shares_buffer(&base));
+            assert_same(&dst, &ref_write(&base, &[2, 3], &patch), "cow write");
+            // The sole owner now writes in place.
+            let before = CopyCounter::snapshot();
+            dst.write_subarray(&[0, 0], &patch).unwrap();
+            assert_eq!(CopyCounter::snapshot().since(&before).copies, 0);
+        });
     }
 }

@@ -58,23 +58,20 @@ impl<T: Element> NdArray<T> {
     ) -> NdArray<f64> {
         let shape = self.shape();
         let out_shape = shape.without_axis(axis).expect("axis in range");
-        let n = shape.dim(axis);
+        let (_, n, inner) = shape.split_at_axis(axis);
         let mut acc = vec![init; out_shape.len()];
-        let strides = shape.strides();
-        let out_strides = out_shape.strides();
-        // Walk the input once; map each input index to its output offset.
-        for ix in shape.indices() {
-            let in_off: usize = ix.iter().zip(&strides).map(|(&i, &s)| i * s).sum();
-            let mut out_off = 0usize;
-            let mut k = 0;
-            for (a, &i) in ix.iter().enumerate() {
-                if a == axis {
-                    continue;
+        // Walk the input once in row-major order: the run at position `k`
+        // of each outer block folds into that block's `inner` output cells,
+        // so every cell folds its inputs in increasing `axis` order.
+        if !self.is_empty() {
+            let mut runs = self.data().chunks_exact(inner);
+            for out in acc.chunks_exact_mut(inner) {
+                for run in runs.by_ref().take(n) {
+                    for (a, &v) in out.iter_mut().zip(run) {
+                        *a = fold(*a, v.to_f64());
+                    }
                 }
-                out_off += i * out_strides[k];
-                k += 1;
             }
-            acc[out_off] = fold(acc[out_off], self.data()[in_off].to_f64());
         }
         for v in &mut acc {
             *v = finish(*v, n);

@@ -121,16 +121,36 @@ impl Shape {
     pub fn indices(&self) -> IndexIter {
         IndexIter {
             shape: self.clone(),
-            next: Some(vec![0; self.dims.len()]),
+            next: vec![0; self.dims.len()],
             done: self.is_empty(),
+        }
+    }
+
+    /// `(outer, extent, inner)` around `axis`: the number of row-major
+    /// blocks before it, its own extent, and the contiguous run length of
+    /// one position along it.
+    pub(crate) fn split_at_axis(&self, axis: usize) -> (usize, usize, usize) {
+        let outer = self.dims[..axis].iter().product();
+        let inner = self.dims[axis + 1..].iter().product();
+        (outer, self.dims[axis], inner)
+    }
+
+    /// Shape with axes reordered: axis `i` of the result is axis
+    /// `perm[i]` of `self`. `perm` must be a permutation of `0..rank`.
+    pub(crate) fn permuted(&self, perm: &[usize]) -> Shape {
+        Shape {
+            dims: perm.iter().map(|&a| self.dims[a]).collect(),
         }
     }
 }
 
 /// Row-major iterator over every multi-index of a [`Shape`].
+///
+/// Advances one stored index in place and yields a clone of it: one
+/// allocation per yielded index.
 pub struct IndexIter {
     shape: Shape,
-    next: Option<Vec<usize>>,
+    next: Vec<usize>,
     done: bool,
 }
 
@@ -141,22 +161,16 @@ impl Iterator for IndexIter {
         if self.done {
             return None;
         }
-        let current = self.next.clone()?;
-        // Advance like an odometer.
-        let mut idx = current.clone();
-        let mut carried = true;
-        for i in (0..idx.len()).rev() {
-            idx[i] += 1;
-            if idx[i] < self.shape.dims[i] {
-                carried = false;
+        let current = self.next.clone();
+        // Advance like an odometer; a carry out of axis 0 ends the walk.
+        self.done = true;
+        for (ix, &d) in self.next.iter_mut().zip(&self.shape.dims).rev() {
+            *ix += 1;
+            if *ix < d {
+                self.done = false;
                 break;
             }
-            idx[i] = 0;
-        }
-        if carried {
-            self.done = true;
-        } else {
-            self.next = Some(idx);
+            *ix = 0;
         }
         Some(current)
     }
