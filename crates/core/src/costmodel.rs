@@ -281,7 +281,7 @@ pub fn budget_cost_hint(
 }
 
 /// Apply the memory governor at an engine ingest boundary: when a
-/// process-wide budget is active ([`marray::mem_budget`]), a governed
+/// budget is active in the current run ([`marray::mem_budget`]), a governed
 /// handle whose bytes the governor may spill under pressure; `None`
 /// (keep the caller's handle, like [`pack_for_boundary`]) otherwise, so
 /// the unbounded path is byte-for-byte the historical one. This is the

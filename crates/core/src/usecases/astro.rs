@@ -594,16 +594,17 @@ mod tests {
     fn myria_blob_path_shares_planes() {
         use marray::{with_copy_mode, CopyCounter, CopyMode};
         let s = survey();
-        let before = CopyCounter::snapshot();
-        with_copy_mode(CopyMode::Eager, || {
-            myria(&s, 2, 2);
-        });
-        let eager = CopyCounter::snapshot().since(&before);
-        let before = CopyCounter::snapshot();
-        with_copy_mode(CopyMode::Shared, || {
-            myria(&s, 2, 2);
-        });
-        let shared = CopyCounter::snapshot().since(&before);
+        // Each run is measured inside its own scope, so its delta counts
+        // only its own copies (and its workers'), never another test's.
+        let measure = |mode| {
+            with_copy_mode(mode, || {
+                let before = CopyCounter::snapshot();
+                myria(&s, 2, 2);
+                CopyCounter::snapshot().since(&before)
+            })
+        };
+        let eager = measure(CopyMode::Eager);
+        let shared = measure(CopyMode::Shared);
         // The f64 planes ride shared handles, so the shared data plane must
         // drop copies relative to the eager baseline; only the mask
         // re-typings stay, and they stay under the sanctioned tags.

@@ -259,11 +259,16 @@ impl<T: Clone + Send + Sync + 'static> Rdd<T> {
     pub fn collect(&self) -> Vec<T> {
         let n = self.num_partitions();
         let mut parts: Vec<Vec<T>> = Vec::with_capacity(n);
+        // Partition tasks join the caller's run (modes and ledgers).
+        let ctx = &marray::RunCtx::current();
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..n)
                 .map(|p| {
                     let inner = Arc::clone(&self.inner);
-                    scope.spawn(move || inner.compute(p))
+                    scope.spawn(move || {
+                        let _run = ctx.enter();
+                        inner.compute(p)
+                    })
                 })
                 .collect();
             for h in handles {

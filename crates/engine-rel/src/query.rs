@@ -224,6 +224,8 @@ impl Query {
     // scilint: allow(F004, this scope.spawn IS the simulated engine's own worker pool, the engine boundary; TODO(flow): route through the morsel pool)
     pub fn execute(&self, conn: &MyriaConnection) -> Result<Relation, QueryError> {
         let workers = conn.workers();
+        // Fragment workers join the caller's run (modes and ledgers).
+        let ctx = &marray::RunCtx::current();
         let mut schema: Option<Schema> = None;
         let mut fragments: Vec<Vec<Tuple>> = vec![Vec::new(); workers];
         let mut partition_column: Option<usize> = None;
@@ -232,6 +234,65 @@ impl Query {
             schema
                 .index_of(name)
                 .ok_or_else(|| QueryError::UnknownColumn(name.to_string()))
+        };
+        // GROUP BY: shuffle on the first key unless already partitioned so,
+        // then fold each key group with `agg` on the fragment workers. The
+        // output rows (and schema) are the key columns followed by `out`.
+        let group_by = |fragments: &mut Vec<Vec<Tuple>>,
+                        partition_column: Option<usize>,
+                        s: &Schema,
+                        keys: &[String],
+                        out: &[(String, ValueType)],
+                        agg: &(dyn Fn(&[Tuple]) -> Vec<Value> + Sync)|
+         -> Result<Schema, QueryError> {
+            let key_ix: Vec<usize> = keys.iter().map(|k| col(s, k)).collect::<Result<_, _>>()?;
+            if partition_column != Some(key_ix[0]) {
+                let mut next: Vec<Vec<Tuple>> = vec![Vec::new(); workers];
+                for f in fragments.drain(..) {
+                    for t in f {
+                        let w = (partition_hash(&t[key_ix[0]]) % workers as u64) as usize;
+                        next[w].push(t);
+                    }
+                }
+                *fragments = next;
+            }
+            std::thread::scope(|scope| {
+                for frag in fragments.iter_mut() {
+                    let key_ix = &key_ix;
+                    scope.spawn(move || {
+                        let _run = ctx.enter();
+                        let mut groups: Vec<(Vec<u64>, Vec<Tuple>)> = Vec::new();
+                        let mut lookup: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
+                        for t in frag.drain(..) {
+                            let key: Vec<u64> =
+                                key_ix.iter().map(|&i| partition_hash(&t[i])).collect();
+                            match lookup.get(&key) {
+                                Some(&g) => groups[g].1.push(t),
+                                None => {
+                                    lookup.insert(key.clone(), groups.len());
+                                    groups.push((key, vec![t]));
+                                }
+                            }
+                        }
+                        *frag = groups
+                            .into_iter()
+                            .map(|(_, tuples)| {
+                                let mut row: Tuple =
+                                    // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
+                                    key_ix.iter().map(|&i| tuples[0][i].clone()).collect();
+                                row.extend(agg(&tuples));
+                                row
+                            })
+                            .collect();
+                    });
+                }
+            });
+            let mut cols: Vec<(&str, ValueType)> = key_ix
+                .iter()
+                .map(|&i| (s.columns()[i].0.as_str(), s.columns()[i].1))
+                .collect();
+            cols.extend(out.iter().map(|(n, t)| (n.as_str(), *t)));
+            Ok(Schema::new(&cols))
         };
 
         for op in &self.ops {
@@ -293,6 +354,7 @@ impl Query {
                             let arg_ix = &arg_ix;
                             let keep_ix = &keep_ix;
                             scope.spawn(move || {
+                                let _run = ctx.enter();
                                 *frag = frag
                                     .iter()
                                     .map(|t| {
@@ -408,120 +470,23 @@ impl Query {
                     partition_column = Some(ci);
                 }
                 Op::GroupBy { keys, uda, out } => {
-                    // scilint: allow(C001, Schema clone - column-name metadata rather than payload)
-                    let s = schema.as_ref().expect("group by before scan").clone();
-                    let agg = conn
+                    let s = schema.as_ref().expect("group by before scan");
+                    let f = conn
                         .uda(uda)
                         .ok_or_else(|| QueryError::UnknownFunction(uda.clone()))?;
-                    let key_ix: Vec<usize> =
-                        keys.iter().map(|k| col(&s, k)).collect::<Result<_, _>>()?;
-                    // Shuffle on the first key unless already partitioned so.
-                    if partition_column != Some(key_ix[0]) {
-                        let mut next: Vec<Vec<Tuple>> = vec![Vec::new(); workers];
-                        for f in fragments.drain(..) {
-                            for t in f {
-                                let w = (partition_hash(&t[key_ix[0]]) % workers as u64) as usize;
-                                next[w].push(t);
-                            }
-                        }
-                        fragments = next;
-                    }
-                    std::thread::scope(|scope| {
-                        for frag in fragments.iter_mut() {
-                            let agg = &agg;
-                            let key_ix = &key_ix;
-                            scope.spawn(move || {
-                                let mut groups: Vec<(Vec<u64>, Vec<Tuple>)> = Vec::new();
-                                let mut lookup: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-                                for t in frag.drain(..) {
-                                    let key: Vec<u64> =
-                                        key_ix.iter().map(|&i| partition_hash(&t[i])).collect();
-                                    match lookup.get(&key) {
-                                        Some(&g) => groups[g].1.push(t),
-                                        None => {
-                                            lookup.insert(key.clone(), groups.len());
-                                            groups.push((key, vec![t]));
-                                        }
-                                    }
-                                }
-                                *frag = groups
-                                    .into_iter()
-                                    .map(|(_, tuples)| {
-                                        let mut row: Tuple =
-                                            // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
-                                            key_ix.iter().map(|&i| tuples[0][i].clone()).collect();
-                                        row.push(agg(&tuples));
-                                        row
-                                    })
-                                    .collect();
-                            });
-                        }
-                    });
-                    let mut cols: Vec<(&str, ValueType)> = key_ix
-                        .iter()
-                        .map(|&i| (s.columns()[i].0.as_str(), s.columns()[i].1))
-                        .collect();
-                    cols.push((out.0.as_str(), out.1));
-                    schema = Some(Schema::new(&cols));
+                    let agg = |tuples: &[Tuple]| vec![f(tuples)];
+                    let out = std::slice::from_ref(out);
+                    let grouped = group_by(&mut fragments, partition_column, s, keys, out, &agg)?;
+                    schema = Some(grouped);
                     partition_column = Some(0);
                 }
                 Op::GroupByMulti { keys, uda, out } => {
-                    // scilint: allow(C001, Schema clone - column-name metadata rather than payload)
-                    let s = schema.as_ref().expect("group by before scan").clone();
+                    let s = schema.as_ref().expect("group by before scan");
                     let agg = conn
                         .multi_uda(uda)
                         .ok_or_else(|| QueryError::UnknownFunction(uda.clone()))?;
-                    let key_ix: Vec<usize> =
-                        keys.iter().map(|k| col(&s, k)).collect::<Result<_, _>>()?;
-                    if partition_column != Some(key_ix[0]) {
-                        let mut next: Vec<Vec<Tuple>> = vec![Vec::new(); workers];
-                        for f in fragments.drain(..) {
-                            for t in f {
-                                let w = (partition_hash(&t[key_ix[0]]) % workers as u64) as usize;
-                                next[w].push(t);
-                            }
-                        }
-                        fragments = next;
-                    }
-                    std::thread::scope(|scope| {
-                        for frag in fragments.iter_mut() {
-                            let agg = &agg;
-                            let key_ix = &key_ix;
-                            scope.spawn(move || {
-                                let mut groups: Vec<(Vec<u64>, Vec<Tuple>)> = Vec::new();
-                                let mut lookup: BTreeMap<Vec<u64>, usize> = BTreeMap::new();
-                                for t in frag.drain(..) {
-                                    let key: Vec<u64> =
-                                        key_ix.iter().map(|&i| partition_hash(&t[i])).collect();
-                                    match lookup.get(&key) {
-                                        Some(&g) => groups[g].1.push(t),
-                                        None => {
-                                            lookup.insert(key.clone(), groups.len());
-                                            groups.push((key, vec![t]));
-                                        }
-                                    }
-                                }
-                                *frag = groups
-                                    .into_iter()
-                                    .map(|(_, tuples)| {
-                                        let mut row: Tuple =
-                                            // scilint: allow(C001, Value is a small scalar enum; per-cell clone)
-                                            key_ix.iter().map(|&i| tuples[0][i].clone()).collect();
-                                        row.extend(agg(&tuples));
-                                        row
-                                    })
-                                    .collect();
-                            });
-                        }
-                    });
-                    let mut cols: Vec<(&str, ValueType)> = key_ix
-                        .iter()
-                        .map(|&i| (s.columns()[i].0.as_str(), s.columns()[i].1))
-                        .collect();
-                    for (n, t) in out {
-                        cols.push((n.as_str(), *t));
-                    }
-                    schema = Some(Schema::new(&cols));
+                    let grouped = group_by(&mut fragments, partition_column, s, keys, out, &*agg)?;
+                    schema = Some(grouped);
                     partition_column = Some(0);
                 }
             }

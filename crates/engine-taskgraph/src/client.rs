@@ -256,12 +256,15 @@ impl DaskClient {
         let pending = Arc::new(Mutex::new(pending));
         let dependents = Arc::new(dependents);
 
+        // Every task runs in the submitting thread's run (modes, ledgers).
+        let ctx = &marray::RunCtx::current();
         std::thread::scope(|scope| {
             for _ in 0..self.workers.min(needed.len()) {
                 let shared = Arc::clone(&shared);
                 let pending = Arc::clone(&pending);
                 let dependents = Arc::clone(&dependents);
                 scope.spawn(move || loop {
+                    let _run = ctx.enter();
                     // Steal the next ready task from the shared queue.
                     let task = {
                         let mut q = shared.queue.lock().expect("queue lock poisoned");

@@ -773,8 +773,7 @@ mod tests {
 #[cfg(test)]
 mod strided_oracle {
     use crate::{
-        with_compress_mode, with_copy_mode, ChunkRepr, CodecCounter, CompressMode, CopyCounter,
-        CopyMode, Element, NdArray, Shape,
+        with_copy_mode, ChunkRepr, CodecCounter, CopyCounter, CopyMode, Element, NdArray, Shape,
     };
 
     /// Exact bit patterns of every element (NaN payloads and `-0.0` included).
@@ -1023,13 +1022,12 @@ mod strided_oracle {
 
     #[test]
     fn strided_ops_match_the_per_index_reference_for_f64() {
-        // Inside a mode section, so the ledger tests below see no traffic.
-        with_copy_mode(CopyMode::Shared, check_all_ops::<f64>);
+        check_all_ops::<f64>();
     }
 
     #[test]
     fn strided_ops_match_the_per_index_reference_for_u8() {
-        with_copy_mode(CopyMode::Shared, check_all_ops::<u8>);
+        check_all_ops::<u8>();
     }
 
     /// Codec decodes and deep copies recorded while `f` runs.
@@ -1043,72 +1041,70 @@ mod strided_oracle {
 
     #[test]
     fn compressed_inputs_decode_once_like_a_dense_access() {
-        // Counter deltas are only exact inside a mode section.
-        with_compress_mode(CompressMode::Auto, || {
-            with_copy_mode(CopyMode::Shared, || {
-                let dims = [4, 6, 5];
-                let runs = NdArray::<u8>::from_fn(&dims, |ix| u8::from(ix[0] >= 2));
-                let ones = NdArray::<u8>::full(&dims, 1);
-                for (dense, repr) in [(runs, ChunkRepr::Rle), (ones, ChunkRepr::Const)] {
-                    let fresh = || {
-                        let c = dense.compressed();
-                        assert_eq!(c.repr(), repr);
-                        c
-                    };
+        // A run of its own, so the deltas count only this test's traffic.
+        with_copy_mode(CopyMode::Shared, || {
+            let dims = [4, 6, 5];
+            let runs = NdArray::<u8>::from_fn(&dims, |ix| u8::from(ix[0] >= 2));
+            let ones = NdArray::<u8>::full(&dims, 1);
+            for (dense, repr) in [(runs, ChunkRepr::Rle), (ones, ChunkRepr::Const)] {
+                let fresh = || {
+                    let c = dense.compressed();
+                    assert_eq!(c.repr(), repr);
+                    c
+                };
+                let c = fresh();
+                let one_access = ledger_delta(|| {
+                    c.data();
+                });
+                assert_eq!(one_access.0, 1, "{repr:?}: a dense access decodes once");
+                type Op = Box<dyn Fn(&NdArray<u8>) -> Vec<u64>>;
+                let ops: Vec<(&str, Op)> = vec![
+                    (
+                        "subarray",
+                        Box::new(|a: &NdArray<u8>| {
+                            bits(&a.subarray(&[1, 2, 1], &[3, 4, 3]).unwrap())
+                        }),
+                    ),
+                    (
+                        "slice_axis",
+                        Box::new(|a: &NdArray<u8>| bits(&a.slice_axis(1, 4).unwrap())),
+                    ),
+                    (
+                        "take_axis",
+                        Box::new(|a: &NdArray<u8>| bits(&a.take_axis(2, &[4, 0, 4]).unwrap())),
+                    ),
+                    (
+                        "permute_axes",
+                        Box::new(|a: &NdArray<u8>| bits(&a.permute_axes(&[2, 0, 1]).unwrap())),
+                    ),
+                    (
+                        "mean_axis",
+                        Box::new(|a: &NdArray<u8>| bits(&a.mean_axis(0))),
+                    ),
+                    (
+                        "write_subarray",
+                        Box::new(|patch: &NdArray<u8>| {
+                            let mut dst = NdArray::<u8>::zeros(&[6, 8, 7]);
+                            dst.write_subarray(&[1, 1, 2], patch).unwrap();
+                            bits(&dst)
+                        }),
+                    ),
+                ];
+                for (name, op) in &ops {
                     let c = fresh();
-                    let one_access = ledger_delta(|| {
-                        c.data();
-                    });
-                    assert_eq!(one_access.0, 1, "{repr:?}: a dense access decodes once");
-                    type Op = Box<dyn Fn(&NdArray<u8>) -> Vec<u64>>;
-                    let ops: Vec<(&str, Op)> = vec![
-                        (
-                            "subarray",
-                            Box::new(|a: &NdArray<u8>| {
-                                bits(&a.subarray(&[1, 2, 1], &[3, 4, 3]).unwrap())
-                            }),
-                        ),
-                        (
-                            "slice_axis",
-                            Box::new(|a: &NdArray<u8>| bits(&a.slice_axis(1, 4).unwrap())),
-                        ),
-                        (
-                            "take_axis",
-                            Box::new(|a: &NdArray<u8>| bits(&a.take_axis(2, &[4, 0, 4]).unwrap())),
-                        ),
-                        (
-                            "permute_axes",
-                            Box::new(|a: &NdArray<u8>| bits(&a.permute_axes(&[2, 0, 1]).unwrap())),
-                        ),
-                        (
-                            "mean_axis",
-                            Box::new(|a: &NdArray<u8>| bits(&a.mean_axis(0))),
-                        ),
-                        (
-                            "write_subarray",
-                            Box::new(|patch: &NdArray<u8>| {
-                                let mut dst = NdArray::<u8>::zeros(&[6, 8, 7]);
-                                dst.write_subarray(&[1, 1, 2], patch).unwrap();
-                                bits(&dst)
-                            }),
-                        ),
-                    ];
-                    for (name, op) in &ops {
-                        let c = fresh();
-                        let mut got = Vec::new();
-                        let delta = ledger_delta(|| got = op(&c));
-                        assert_eq!(delta, one_access, "{repr:?} {name}: (decodes, copies)");
-                        assert_eq!(got, op(&dense), "{repr:?} {name}: bits");
-                    }
-                    // An empty box never reads the buffer, so it decodes nothing.
-                    let c = fresh();
-                    let empty = ledger_delta(|| {
-                        c.subarray(&[1, 0, 0], &[0, 6, 5]).unwrap();
-                        c.take_axis(1, &[]).unwrap();
-                    });
-                    assert_eq!(empty, (0, 0), "{repr:?}: empty boxes decode nothing");
+                    let mut got = Vec::new();
+                    let delta = ledger_delta(|| got = op(&c));
+                    assert_eq!(delta, one_access, "{repr:?} {name}: (decodes, copies)");
+                    assert_eq!(got, op(&dense), "{repr:?} {name}: bits");
                 }
-            });
+                // An empty box never reads the buffer, so it decodes nothing.
+                let c = fresh();
+                let empty = ledger_delta(|| {
+                    c.subarray(&[1, 0, 0], &[0, 6, 5]).unwrap();
+                    c.take_axis(1, &[]).unwrap();
+                });
+                assert_eq!(empty, (0, 0), "{repr:?}: empty boxes decode nothing");
+            }
         });
     }
 

@@ -13,15 +13,22 @@
 //! * Copy-on-write mutation — [`ChunkBuf::make_mut`] hands out exclusive
 //!   access, deep-copying only when the buffer is actually shared, and
 //!   every such unshare is recorded.
-//! * [`CopyCounter`] — a process-wide ledger of deep copies, each tagged
-//!   with a reason (`"cow"`, `"eager-clone"`, `"scidb.materialize"`, ...),
-//!   so pipelines can report copies-per-run and the e2e bench can prove
-//!   the zero-copy path eliminates the accidental ones.
-//! * [`CopyMode`] — a global switch between the zero-copy plane
+//! * [`CopyCounter`] — the ledger of deep copies, each tagged with a
+//!   reason (`"cow"`, `"eager-clone"`, `"scidb.materialize"`, ...), so
+//!   pipelines can report copies-per-run and the e2e bench can prove the
+//!   zero-copy path eliminates the accidental ones.
+//! * [`CopyMode`] — a per-run switch between the zero-copy plane
 //!   ([`CopyMode::Shared`], the default) and a faithful reproduction of
 //!   the copy-everywhere seed behaviour ([`CopyMode::Eager`], where every
 //!   clone is a counted deep copy). The bench runs both to measure the
 //!   before/after copy counts on identical code paths.
+//!
+//! Both belong to a run, not to the process: [`with_copy_mode`] runs its
+//! closure in a child run context with a fresh ledger, the threads a run
+//! spawns join it ([`crate::RunCtx`]), and every copy is charged to the
+//! run that made it and to each enclosing run. Concurrent runs therefore
+//! neither see each other's mode nor each other's copies, and the root
+//! ledger still totals the process.
 //!
 //! Copies that an engine's architectural contract genuinely requires
 //! (e.g. the SciDB analog's chunked rewrite) are *kept* and tagged via
@@ -30,17 +37,19 @@
 //! faithful to the paper.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::Ordering;
+use std::sync::{Arc, OnceLock};
 
 use crate::codec::{compress_mode, ChunkRepr, CompressMode, Encoded};
+use crate::ctx;
 use crate::element::Element;
 use crate::spill::{govern_stored, GovernedCell, Stored};
 
-/// How [`ChunkBuf::clone`] behaves, process-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// How [`ChunkBuf::clone`] behaves within a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CopyMode {
     /// Clones share the underlying buffer (refcount bump). The default.
+    #[default]
     Shared,
     /// Clones deep-copy, reproducing the pre-chunkstore data plane; every
     /// such copy is counted under the `"eager-clone"` reason. Used by the
@@ -48,133 +57,48 @@ pub enum CopyMode {
     Eager,
 }
 
-/// 0 = Shared, 1 = Eager; mirrors [`CopyMode`] for the atomic cell.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// Serializes [`with_copy_mode`] sections so concurrent tests/benches that
-/// flip the global mode (or assert on counter deltas) never interleave.
-static MODE_LOCK: Mutex<()> = Mutex::new(());
-
-/// The process-wide [`CopyMode`] currently in effect.
+/// The [`CopyMode`] of the calling thread's run (see [`crate::RunCtx`]).
 pub fn copy_mode() -> CopyMode {
-    if MODE.load(Ordering::SeqCst) == 0 {
-        CopyMode::Shared
-    } else {
-        CopyMode::Eager
-    }
+    ctx::with_current(|c| c.copy)
 }
 
-thread_local! {
-    /// Nesting depth of [`with_copy_mode`] sections on this thread, so
-    /// nested sections re-use the outer section's lock instead of
-    /// deadlocking on it.
-    static SECTION_DEPTH: std::cell::Cell<u32> = const { std::cell::Cell::new(0) };
-}
-
-/// Restores a global mode cell to its captured value even if the closure
-/// panics. Shared by the copy-mode and compress-mode sections.
-pub(crate) struct RestoreMode {
-    cell: &'static AtomicU8,
-    prev: u8,
-}
-
-impl RestoreMode {
-    /// Capture `cell`'s current value for restoration on drop.
-    pub(crate) fn new(cell: &'static AtomicU8) -> RestoreMode {
-        RestoreMode {
-            cell,
-            prev: cell.load(Ordering::SeqCst),
-        }
-    }
-}
-
-impl Drop for RestoreMode {
-    fn drop(&mut self) {
-        self.cell.store(self.prev, Ordering::SeqCst);
-    }
-}
-
-/// Decrements the section depth on drop.
-struct DepthGuard;
-
-impl Drop for DepthGuard {
-    fn drop(&mut self) {
-        SECTION_DEPTH.with(|d| d.set(d.get() - 1));
-    }
-}
-
-/// Run `f` inside a global mode section: mutually exclusive across threads
-/// (the lock is held for the duration of the outermost section), re-entrant
-/// on one thread. [`with_copy_mode`] and [`crate::with_compress_mode`] both
-/// nest through this one lock, so mixed-mode sections cannot deadlock and
-/// counter deltas observed inside one section are not polluted by another
-/// thread's section.
-pub(crate) fn with_mode_section<R>(f: impl FnOnce() -> R) -> R {
-    let outermost = SECTION_DEPTH.with(|d| {
-        let depth = d.get();
-        d.set(depth + 1);
-        depth == 0
-    });
-    let _depth = DepthGuard;
-    let _section = if outermost {
-        Some(MODE_LOCK.lock().unwrap_or_else(|e| e.into_inner()))
-    } else {
-        None
-    };
-    f()
-}
-
-/// Run `f` with the process-wide copy mode set to `mode`, then restore.
-///
-/// Sections are mutually exclusive across threads (a global lock is held
-/// for the duration of the outermost section; nested sections on the same
-/// thread are re-entrant), so copy-counter deltas observed inside one
-/// section are not polluted by another thread's section. Threads *spawned
-/// by* `f` (engine workers) see the requested mode, as it is
-/// process-global.
+/// Run `f` as a run of its own under copy mode `mode`: a child run whose
+/// ledgers start empty and collect only the copies made by `f` and by the
+/// workers it spawns, whatever other threads do.
 pub fn with_copy_mode<R>(mode: CopyMode, f: impl FnOnce() -> R) -> R {
-    with_mode_section(|| {
-        let _restore = RestoreMode::new(&MODE);
-        MODE.store(mode as u8, Ordering::SeqCst);
-        f()
-    })
+    ctx::scoped(|c| c.copy = mode, f)
 }
 
-/// Total deep copies recorded since process start.
-static COPIES: AtomicU64 = AtomicU64::new(0);
-/// Total bytes deep-copied since process start.
-static COPIED_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Per-reason breakdown. BTreeMap so reports iterate deterministically.
-static BY_REASON: Mutex<BTreeMap<String, ReasonStats>> = Mutex::new(BTreeMap::new());
-
-/// The process-wide deep-copy ledger.
-///
-/// `CopyCounter` is a namespace, not an instance: the counters are global
-/// because buffers flow across engine worker threads. Readers take
-/// [`CopyCounter::snapshot`]s and diff them with [`CopyStats::since`] to
-/// attribute copies to a pipeline run.
+/// The deep-copy ledger of the calling thread's run: a namespace, not an
+/// instance. Copies are charged to the current run and every enclosing one
+/// ([`crate::RunCtx`]), so the root run's ledger totals the process.
+/// Readers diff [`CopyCounter::snapshot`]s of one run with [`CopyStats::since`].
 pub struct CopyCounter;
 
 impl CopyCounter {
     /// Record one deep copy of `bytes` bytes under `reason`.
     pub fn record(reason: &str, bytes: usize) {
-        COPIES.fetch_add(1, Ordering::Relaxed);
-        COPIED_BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
-        let mut map = BY_REASON.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = map.entry(reason.to_string()).or_default();
-        slot.copies += 1;
-        slot.bytes += bytes as u64;
+        ctx::charge(|c| {
+            c.copies.fetch_add(1, Ordering::Relaxed);
+            c.copied_bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+            let mut map = c.by_reason.lock().unwrap_or_else(|e| e.into_inner());
+            let slot = map.entry(reason.to_string()).or_default();
+            slot.copies += 1;
+            slot.bytes += bytes as u64;
+        });
     }
 
-    /// A consistent view of the ledger as of now.
+    /// A consistent view of the current run's ledger as of now.
     pub fn snapshot() -> CopyStats {
-        // Lock first so totals cannot advance past the per-reason map.
-        let map = BY_REASON.lock().unwrap_or_else(|e| e.into_inner());
-        CopyStats {
-            copies: COPIES.load(Ordering::Relaxed),
-            bytes: COPIED_BYTES.load(Ordering::Relaxed),
-            by_reason: map.clone(),
-        }
+        ctx::with_current(|c| {
+            // Lock first so totals cannot advance past the per-reason map.
+            let map = c.by_reason.lock().unwrap_or_else(|e| e.into_inner());
+            CopyStats {
+                copies: c.copies.load(Ordering::Relaxed),
+                bytes: c.copied_bytes.load(Ordering::Relaxed),
+                by_reason: map.clone(),
+            }
+        })
     }
 }
 
@@ -426,7 +350,7 @@ impl<T: Element> ChunkBuf<T> {
         }
     }
 
-    /// Internal: a handle clone (refcount bump) regardless of the global
+    /// Internal: a handle clone (refcount bump) regardless of the run's
     /// [`CopyMode`] — for representation changes that must never be
     /// charged as payload copies.
     // scilint: allow(F003, Payload is an enum of Arcs: cloning it bumps refcounts, never copies chunk bytes)
@@ -437,7 +361,7 @@ impl<T: Element> ChunkBuf<T> {
     }
 
     /// Re-encode into the smallest compressed representation, if any codec
-    /// shrinks the buffer and the global [`CompressMode`] allows it;
+    /// shrinks the buffer and the run's [`CompressMode`] allows it;
     /// otherwise (or for an already-compressed buffer) a handle clone.
     /// Encodes are counted (`"codec.encode"`).
     pub fn compressed(&self) -> ChunkBuf<T> {

@@ -25,15 +25,18 @@
 //!
 //! Encode/decode traffic is accounted twice over: the [`CodecCounter`]
 //! ledger tracks per-codec bytes in/out and call counts, and each call is
-//! folded into the process-wide [`CopyCounter`] ledger under the
-//! `"codec.encode"` / `"codec.decode"` reason tags so the existing
-//! copies-per-run reporting sees compression work alongside deep copies.
+//! folded into the [`CopyCounter`] ledger under the `"codec.encode"` /
+//! `"codec.decode"` reason tags so the existing copies-per-run reporting
+//! sees compression work alongside deep copies. Both ledgers, like the
+//! [`CompressMode`], belong to the run that does the work (see
+//! [`crate::RunCtx`]): [`with_compress_mode`] opens a child run with fresh
+//! ledgers, so two runs on different threads can compress differently and
+//! each still reads only its own codec traffic.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::Mutex;
 
-use crate::chunkstore::{with_mode_section, CopyCounter, RestoreMode};
+use crate::chunkstore::CopyCounter;
+use crate::ctx;
 use crate::element::Element;
 
 /// The storage representation of a [`crate::ChunkBuf`].
@@ -61,48 +64,29 @@ impl ChunkRepr {
     }
 }
 
-/// Whether chunk producers may choose compressed representations,
-/// process-wide.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Whether chunk producers may choose compressed representations within
+/// a run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CompressMode {
     /// Never compress: every chunk stays dense. The baseline the compress
     /// bench measures against.
     Off,
     /// Compress when a codec actually shrinks the chunk (the default).
+    #[default]
     Auto,
 }
 
-/// 0 = Auto, 1 = Off; mirrors [`CompressMode`] for the atomic cell.
-static COMPRESS: AtomicU8 = AtomicU8::new(0);
-
-/// The process-wide [`CompressMode`] currently in effect.
+/// The [`CompressMode`] of the calling thread's run (see [`crate::RunCtx`]).
 pub fn compress_mode() -> CompressMode {
-    if COMPRESS.load(Ordering::SeqCst) == 0 {
-        CompressMode::Auto
-    } else {
-        CompressMode::Off
-    }
+    ctx::with_current(|c| c.compress)
 }
 
-/// Run `f` with the process-wide compress mode set to `mode`, then restore.
-///
-/// Shares the mode-section lock with [`crate::with_copy_mode`] (sections of
-/// either kind are mutually exclusive across threads and re-entrant on one
-/// thread), so a bench can nest a copy-mode section inside a compress-mode
-/// section without deadlock and counter deltas observed inside one section
-/// are not polluted by another thread's section.
+/// Run `f` as a run of its own under compress mode `mode`: a child run
+/// context with fresh ledgers, inherited by the workers `f` spawns. It
+/// nests freely with [`crate::with_copy_mode`] and
+/// [`crate::with_mem_budget`]; each frame overrides only its own setting.
 pub fn with_compress_mode<R>(mode: CompressMode, f: impl FnOnce() -> R) -> R {
-    with_mode_section(|| {
-        let _restore = RestoreMode::new(&COMPRESS);
-        COMPRESS.store(
-            match mode {
-                CompressMode::Auto => 0,
-                CompressMode::Off => 1,
-            },
-            Ordering::SeqCst,
-        );
-        f()
-    })
+    ctx::scoped(|c| c.compress = mode, f)
 }
 
 /// Per-codec encode/decode traffic for one representation.
@@ -155,39 +139,37 @@ impl CodecStats {
     }
 }
 
-/// Per-codec breakdown. BTreeMap so reports iterate deterministically.
-static BY_CODEC: Mutex<BTreeMap<String, CodecReprStats>> = Mutex::new(BTreeMap::new());
-
-/// The process-wide codec ledger.
-///
-/// Like [`CopyCounter`], a namespace over globals: chunk buffers flow across
-/// engine worker threads, so the ledger is process-wide and readers diff
-/// [`CodecCounter::snapshot`]s with [`CodecStats::since`].
+/// The codec ledger of the calling thread's run, charged like
+/// [`CopyCounter`]'s: readers diff [`CodecCounter::snapshot`]s of one run
+/// with [`CodecStats::since`].
 pub struct CodecCounter;
 
 impl CodecCounter {
     /// Record one encode into `repr` (`dense` bytes in, `encoded` out).
     pub fn record_encode(repr: ChunkRepr, dense: usize, encoded: usize) {
-        let mut map = BY_CODEC.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = map.entry(repr.as_str().to_string()).or_default();
-        slot.encodes += 1;
-        slot.dense_bytes += dense as u64;
-        slot.encoded_bytes += encoded as u64;
+        ctx::charge(|c| {
+            let mut map = c.by_codec.lock().unwrap_or_else(|e| e.into_inner());
+            let slot = map.entry(repr.as_str().to_string()).or_default();
+            slot.encodes += 1;
+            slot.dense_bytes += dense as u64;
+            slot.encoded_bytes += encoded as u64;
+        });
     }
 
     /// Record one decode out of `repr` (`dense` bytes materialized).
     pub fn record_decode(repr: ChunkRepr, dense: usize) {
-        let mut map = BY_CODEC.lock().unwrap_or_else(|e| e.into_inner());
-        map.entry(repr.as_str().to_string()).or_default().decodes += 1;
+        ctx::charge(|c| {
+            let mut map = c.by_codec.lock().unwrap_or_else(|e| e.into_inner());
+            map.entry(repr.as_str().to_string()).or_default().decodes += 1;
+        });
         let _ = dense;
     }
 
-    /// A consistent view of the ledger as of now.
+    /// A consistent view of the current run's ledger as of now.
     pub fn snapshot() -> CodecStats {
-        let map = BY_CODEC.lock().unwrap_or_else(|e| e.into_inner());
-        CodecStats {
-            by_codec: map.clone(),
-        }
+        ctx::with_current(|c| CodecStats {
+            by_codec: c.by_codec.lock().unwrap_or_else(|e| e.into_inner()).clone(),
+        })
     }
 }
 
@@ -510,24 +492,27 @@ mod tests {
 
     #[test]
     fn counted_paths_hit_both_ledgers() {
-        let before_codec = CodecCounter::snapshot();
-        let before_copy = CopyCounter::snapshot();
-        let data = vec![1.5f64; 256];
-        let enc = Encoded::encode_counted(&data).expect("const");
-        let dense = enc.decode_counted();
-        assert_eq!(dense.len(), 256);
-        let dc = CodecCounter::snapshot().since(&before_codec);
-        let cc = CopyCounter::snapshot().since(&before_copy);
-        let konst = dc.by_codec.get("const").expect("const codec traffic");
-        assert_eq!(konst.encodes, 1);
-        assert_eq!(konst.decodes, 1);
-        assert_eq!(konst.dense_bytes, 256 * 8);
-        assert!(konst.encoded_bytes < 32);
-        assert!(cc.by_reason.contains_key("codec.encode"));
-        assert_eq!(
-            cc.by_reason.get("codec.decode").map(|r| r.bytes),
-            Some(256 * 8)
-        );
+        // A run of its own, so the deltas count only this test's traffic.
+        crate::with_copy_mode(crate::CopyMode::Shared, || {
+            let before_codec = CodecCounter::snapshot();
+            let before_copy = CopyCounter::snapshot();
+            let data = vec![1.5f64; 256];
+            let enc = Encoded::encode_counted(&data).expect("const");
+            let dense = enc.decode_counted();
+            assert_eq!(dense.len(), 256);
+            let dc = CodecCounter::snapshot().since(&before_codec);
+            let cc = CopyCounter::snapshot().since(&before_copy);
+            let konst = dc.by_codec.get("const").expect("const codec traffic");
+            assert_eq!(konst.encodes, 1);
+            assert_eq!(konst.decodes, 1);
+            assert_eq!(konst.dense_bytes, 256 * 8);
+            assert!(konst.encoded_bytes < 32);
+            assert!(cc.by_reason.contains_key("codec.encode"));
+            assert_eq!(
+                cc.by_reason.get("codec.decode").map(|r| r.bytes),
+                Some(256 * 8)
+            );
+        });
     }
 
     #[test]

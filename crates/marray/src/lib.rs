@@ -11,9 +11,9 @@
 //!
 //! Arrays are dense, row-major (C order) and backed by reference-counted
 //! immutable chunk buffers ([`ChunkBuf`]): cloning shares bytes, mutation is
-//! copy-on-write, and every deep copy is recorded by the process-wide
-//! [`CopyCounter`] — the zero-copy data plane the engine analogs build on
-//! (see `chunkstore`). The library favours explicit index math over a
+//! copy-on-write, and every deep copy is recorded by the [`CopyCounter`]
+//! ledger of the run that made it ([`RunCtx`]) — the zero-copy data plane
+//! the engine analogs build on (see `chunkstore`). The library favours explicit index math over a
 //! general view/lifetime system: kernels that need raw speed index into
 //! `data()` slices directly with [`Shape::offset`].
 //!
@@ -30,6 +30,7 @@ mod array;
 mod chunk;
 mod chunkstore;
 pub mod codec;
+mod ctx;
 mod element;
 mod error;
 mod mask;
@@ -48,6 +49,7 @@ pub use codec::{
     compress_mode, with_compress_mode, ChunkRepr, CodecCounter, CodecReprStats, CodecStats,
     CompressMode, Encoded,
 };
+pub use ctx::{Entered, RunCtx};
 pub use element::Element;
 pub use error::{ArrayError, Result};
 pub use mask::Mask;

@@ -9,10 +9,13 @@
 //! working set exceeds RAM. This module turns that refusal into graceful
 //! degradation:
 //!
-//! * [`MemoryGovernor`] — a namespace over process-wide state: a byte
-//!   budget ([`set_mem_budget`] / [`with_mem_budget`], `0`/`None` =
-//!   unbounded), a ledger of spill traffic ([`GovStats`]), and an LRU
-//!   registry of every governed cell.
+//! * [`MemoryGovernor`] — a namespace over the state memory really
+//!   shares: an LRU registry of every governed cell, the pressure valves,
+//!   the spill file and the residency gauges. The byte budget
+//!   ([`set_mem_budget`] / [`with_mem_budget`], `0`/`None` = unbounded)
+//!   and the spill-traffic ledger ([`GovStats`]) belong to a run (see
+//!   [`crate::RunCtx`]): the governor enforces the budget of the run that
+//!   triggers an event and charges the spills and reloads to that run.
 //! * Governed cells ([`crate::ChunkBuf::govern`]) — chunk buffers whose
 //!   payload may be **Resident** (in memory) or **Spilled** (on disk in
 //!   the process spill file). Access is transparent: the next
@@ -73,21 +76,11 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, TryLockError, Weak};
 
-use crate::chunkstore::{with_mode_section, CopyCounter};
+use crate::chunkstore::CopyCounter;
 use crate::codec::{ChunkRepr, Encoded};
+use crate::ctx;
 use crate::element::Element;
 
-/// The byte budget; 0 = unbounded.
-static BUDGET: AtomicU64 = AtomicU64::new(0);
-/// Spill events (cells moved out of memory).
-static SPILLS: AtomicU64 = AtomicU64::new(0);
-/// Reload events (cells moved back in).
-static RELOADS: AtomicU64 = AtomicU64::new(0);
-/// Bytes written to the spill file (first spill of each cell only —
-/// re-spills reuse the record).
-static SPILLED_BYTES: AtomicU64 = AtomicU64::new(0);
-/// Bytes read back from the spill file.
-static RELOADED_BYTES: AtomicU64 = AtomicU64::new(0);
 /// Stored bytes of governed cells currently resident (gauge).
 static RESIDENT: AtomicU64 = AtomicU64::new(0);
 /// High-water mark of [`RESIDENT`] since start / last reset (gauge).
@@ -112,40 +105,43 @@ static REGISTRY: Mutex<Registry> = Mutex::new(Registry {
 type Valve = Box<dyn Fn(u64) -> u64 + Send + Sync>;
 static VALVES: Mutex<BTreeMap<u64, Valve>> = Mutex::new(BTreeMap::new());
 
-/// The process-wide memory budget for governed chunk storage, if bounded.
+/// Serializes [`with_mem_budget`] sections: a section configures the
+/// shared governor, so two at once would spill each other's cells.
+static BUDGET_SECTION: Mutex<()> = Mutex::new(());
+
+/// The memory budget of the calling thread's run (see [`crate::RunCtx`]),
+/// if bounded. The governor enforces it on the events this run triggers.
 pub fn mem_budget() -> Option<u64> {
-    match BUDGET.load(Ordering::SeqCst) {
+    match ctx::with_current(|c| c.budget.load(Ordering::Relaxed)) {
         0 => None,
         b => Some(b),
     }
 }
 
-/// Set the process-wide budget (`None` = unbounded) and immediately
-/// enforce it (valves first, then LRU spill of clean cells).
+/// Set the root run's budget (`None` = unbounded), which threads outside
+/// any scoped run and runs scoped later read, and enforce it now (valves
+/// first, then LRU spill of clean cells).
 pub fn set_mem_budget(budget: Option<u64>) {
-    BUDGET.store(budget.unwrap_or(0), Ordering::SeqCst);
+    let bytes = budget.unwrap_or(0);
+    ctx::ROOT.budget.store(bytes, Ordering::Relaxed);
     enforce();
 }
 
-/// Restores the budget cell on drop, even across panics.
-struct RestoreBudget(u64);
-
-impl Drop for RestoreBudget {
-    fn drop(&mut self) {
-        BUDGET.store(self.0, Ordering::SeqCst);
-    }
-}
-
-/// Run `f` with the governor budget set to `budget`, then restore.
+/// Run `f` as a run of its own (fresh ledgers, inherited by the workers
+/// `f` spawns) under budget `budget`, enforced on entry.
 ///
-/// Shares the global mode-section lock with [`crate::with_copy_mode`] /
-/// [`crate::with_compress_mode`] (mutually exclusive across threads,
-/// re-entrant on one thread), so governor-stat deltas observed inside one
-/// section are not polluted by another thread's section.
+/// Memory is shared, so budget sections exclude each other across threads
+/// (a nested section on the same thread or its workers does not block):
+/// one section's pressure never spills another's cells mid-measurement.
 pub fn with_mem_budget<R>(budget: Option<u64>, f: impl FnOnce() -> R) -> R {
-    with_mode_section(|| {
-        let _restore = RestoreBudget(BUDGET.load(Ordering::SeqCst));
-        set_mem_budget(budget);
+    let _section = (!ctx::with_current(|c| c.budget_section))
+        .then(|| BUDGET_SECTION.lock().unwrap_or_else(|e| e.into_inner()));
+    let set = |c: &mut ctx::Ctx| {
+        c.budget = AtomicU64::new(budget.unwrap_or(0));
+        c.budget_section = true;
+    };
+    ctx::scoped(set, || {
+        enforce();
         f()
     })
 }
@@ -187,23 +183,24 @@ impl GovStats {
 
 /// The process-wide memory governor.
 ///
-/// Like [`CopyCounter`], a namespace over globals: governed cells flow
-/// across engine worker threads, so budget, registry and ledger are
-/// process-wide. Readers take [`MemoryGovernor::snapshot`]s and diff them
-/// with [`GovStats::since`].
+/// A namespace: governed cells flow across engine worker threads, so the
+/// registry, valves, spill file and residency gauges are process-wide.
+/// Spill and reload traffic is charged to the run that triggers it (see
+/// [`crate::RunCtx`]). Readers take [`MemoryGovernor::snapshot`]s within
+/// one run and diff them with [`GovStats::since`].
 pub struct MemoryGovernor;
 
 impl MemoryGovernor {
-    /// A consistent view of the spill ledger as of now.
+    /// The current run's spill ledger plus the process gauges, as of now.
     pub fn snapshot() -> GovStats {
-        GovStats {
-            spills: SPILLS.load(Ordering::Relaxed),
-            reloads: RELOADS.load(Ordering::Relaxed),
-            spilled_bytes: SPILLED_BYTES.load(Ordering::Relaxed),
-            reloaded_bytes: RELOADED_BYTES.load(Ordering::Relaxed),
+        ctx::with_current(|c| GovStats {
+            spills: c.spills.load(Ordering::Relaxed),
+            reloads: c.reloads.load(Ordering::Relaxed),
+            spilled_bytes: c.spilled_bytes.load(Ordering::Relaxed),
+            reloaded_bytes: c.reloaded_bytes.load(Ordering::Relaxed),
             resident_bytes: RESIDENT.load(Ordering::Relaxed),
             peak_resident: PEAK.load(Ordering::Relaxed),
-        }
+        })
     }
 
     /// Reset the peak-residency high-water mark to the current residency,
@@ -424,8 +421,10 @@ impl<T: Element> GovernedCell<T> {
                 // self is currently Spilled, so try_spill skips it.
                 make_room(self.stored_nbytes as u64);
                 let stored = spill_file().read_record::<T>(ticket);
-                RELOADS.fetch_add(1, Ordering::Relaxed);
-                RELOADED_BYTES.fetch_add(ticket.nbytes, Ordering::Relaxed);
+                ctx::charge(|c| {
+                    c.reloads.fetch_add(1, Ordering::Relaxed);
+                    c.reloaded_bytes.fetch_add(ticket.nbytes, Ordering::Relaxed)
+                });
                 CopyCounter::record("governor.reload", ticket.nbytes as usize);
                 add_resident(self.stored_nbytes as u64);
                 inner.stored = Some(stored);
@@ -479,14 +478,14 @@ impl<T: Element> SpillableCell for GovernedCell<T> {
             Some(t) => t, // immutable cell: reuse the record
             None => {
                 let t = spill_file().write_record(stored);
-                SPILLED_BYTES.fetch_add(t.nbytes, Ordering::Relaxed);
+                ctx::charge(|c| c.spilled_bytes.fetch_add(t.nbytes, Ordering::Relaxed));
                 CopyCounter::record("governor.spill", t.nbytes as usize);
                 t
             }
         };
         inner.ticket = Some(ticket);
         inner.stored = None;
-        SPILLS.fetch_add(1, Ordering::Relaxed);
+        ctx::charge(|c| c.spills.fetch_add(1, Ordering::Relaxed));
         RESIDENT.fetch_sub(self.stored_nbytes as u64, Ordering::Relaxed);
         self.stored_nbytes as u64
     }

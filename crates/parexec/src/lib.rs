@@ -1,6 +1,6 @@
 #![warn(missing_docs)]
 
-//! # parexec — safe, zero-dependency data-parallel runtime
+//! # parexec — safe data-parallel runtime
 //!
 //! Intra-node parallelism for the `sciops` kernels: the expensive per-voxel
 //! and per-pixel loops (non-local-means denoising, tensor fitting,

@@ -12,7 +12,8 @@
 //!
 //! This module is the crate's **only** thread-spawn site (scilint rule D004
 //! enforces that); the public `par_*` primitives in the crate root and the
-//! [`crate::pipeline`] stage overlap are thin layers over it.
+//! [`crate::pipeline`] stage overlap are thin layers over it. Every worker
+//! joins the caller's run ([`marray::RunCtx`]): its modes and ledgers.
 
 use crate::Parallelism;
 use std::ops::Range;
@@ -442,6 +443,7 @@ impl MorselPool {
         let schedule = self.schedule;
         let work = &work;
         let cursor = &cursor;
+        let ctx = &marray::RunCtx::current();
         type WorkerYield<O> = (Vec<(usize, O, u64)>, usize);
         let mut out: Vec<Option<O>> = Vec::new();
         out.resize_with(n_morsels, || None);
@@ -458,6 +460,7 @@ impl MorselPool {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
                     s.spawn(move || -> WorkerYield<O> {
+                        let _run = ctx.enter();
                         let mut produced = Vec::new();
                         let mut items = 0usize;
                         // Static schedule: iterate the worker's own block.
@@ -530,8 +533,12 @@ where
     FA: FnOnce() -> A + Send,
     FB: FnOnce() -> B,
 {
+    let ctx = marray::RunCtx::current();
     std::thread::scope(|s| {
-        let handle = s.spawn(on_thread);
+        let handle = s.spawn(move || {
+            let _run = ctx.enter();
+            on_thread()
+        });
         let b = on_caller();
         (handle.join(), b)
     })

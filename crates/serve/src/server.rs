@@ -10,7 +10,7 @@
 //!
 //! The result cache and the kernels' working set share one memory
 //! governor: the server registers the cache as a governor *valve*
-//! ([`marray::register_valve`]), so when a process-wide budget
+//! ([`marray::register_valve`]), so when a request's memory budget
 //! ([`marray::mem_budget`]) comes under pressure, clean cached results —
 //! which are recomputable from their certificates — are evicted before
 //! any working-set chunk pays spill I/O.
@@ -24,8 +24,8 @@
 //!    stage with [`scimemo::certify`]; admission-check every graph with
 //!    [`plancheck::check`] — a plan with *any* error, memory errors
 //!    included, is refused (the Figure 15 pipelined-OOM configuration is
-//!    the canonical rejection). When a process-wide memory budget is
-//!    active the governor gives every engine analog a spill tier, so
+//!    the canonical rejection). When the request's run has a memory
+//!    budget the governor gives every engine analog a spill tier, so
 //!    memory overruns degrade to spill I/O instead of OOM and admission
 //!    runs with `spills = true` — the Figure 15 plan becomes runnable
 //!    (slowly) rather than refused. The whole `Result` is cached per
@@ -439,7 +439,7 @@ impl Server {
         validate(q, dataset)?;
         let cluster = self.setup.cluster_for(q.engine, q.nodes);
         let mut inv = self.setup.profiles.invariants(q.engine);
-        // With a process-wide budget active the governor gives every
+        // With a budget active in this run the governor gives every
         // engine analog a spill tier: memory pressure degrades to spill
         // I/O instead of OOM, so admission treats overruns the way it
         // treats Spark's native spilling — the Figure 15 pipelined plan

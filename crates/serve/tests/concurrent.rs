@@ -77,3 +77,42 @@ fn concurrent_cache_off_replay_is_also_deterministic() {
     );
     assert_eq!(off.cache_len(), 0);
 }
+
+#[test]
+fn concurrent_requests_under_different_compress_modes_stay_bit_identical() {
+    use marray::{compress_mode, with_compress_mode, CodecCounter, CompressMode};
+    use std::sync::Barrier;
+
+    let q = QueryDesc::new(Engine::Spark, Pipeline::AstroFull, "hits", 1);
+    let servers = [server(Parallelism::Serial), server(Parallelism::Serial)];
+    // Both requests start together, so their runs overlap.
+    let start = Barrier::new(2);
+    let serve = |srv: &Server, mode| {
+        with_compress_mode(mode, || {
+            start.wait();
+            let before = CodecCounter::snapshot();
+            let out = srv.serve_one(&q);
+            let encodes: u64 = CodecCounter::snapshot()
+                .since(&before)
+                .by_codec
+                .values()
+                .map(|s| s.encodes)
+                .sum();
+            (
+                out.response().map(|r| r.fingerprint),
+                encodes,
+                compress_mode(),
+            )
+        })
+    };
+    let (off, auto) = std::thread::scope(|s| {
+        let off = s.spawn(|| serve(&servers[0], CompressMode::Off));
+        let auto = serve(&servers[1], CompressMode::Auto);
+        (off.join().expect("Off request"), auto)
+    });
+    assert!(off.0.is_some(), "the query is served");
+    assert_eq!(off.0, auto.0, "compression must not change a payload bit");
+    assert_eq!(off.1, 0, "no encodes under CompressMode::Off");
+    assert!(auto.1 > 0, "CompressMode::Auto encodes the mask planes");
+    assert_eq!((off.2, auto.2), (CompressMode::Off, CompressMode::Auto));
+}

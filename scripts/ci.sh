@@ -34,6 +34,12 @@ grep -qF "$flow_schema" "$tmp/flow.json" || {
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== cargo test, 8 test threads (concurrent runs' ledgers stay apart)"
+# On a 2-core host libtest runs two tests at a time, which seldom overlaps
+# two runs' measurement windows; eight at a time makes the overlap routine.
+cargo test -q -p scibench-core --lib -- --test-threads 8
+cargo test -q --test integration_zerocopy -- --test-threads 8
+
 echo "== perfbench tests (the benchmark's own checks)"
 # perfbench is a workspace of its own, so --workspace above skips it. Its
 # tests pin the staged reference rows bit for bit against the pipelines.

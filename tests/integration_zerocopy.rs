@@ -4,9 +4,10 @@
 //! shipped data plane), and sharing must eliminate the non-architectural
 //! copies.
 //!
-//! All counter assertions run inside `with_copy_mode` sections, which
-//! serialize on a global lock, so parallel test threads cannot pollute
-//! each other's deltas.
+//! Every counter delta is taken inside a `with_copy_mode` scope: the scope
+//! is a run of its own whose ledger starts empty and collects only the
+//! copies made by that run and the engine workers it spawns, so tests
+//! running on parallel threads cannot pollute each other's deltas.
 
 use scibench::marray::{with_copy_mode, CopyCounter, CopyMode, NdArray};
 use scibench_bench::e2e;
