@@ -270,30 +270,13 @@ fn lint_memo(out_path: Option<std::path::PathBuf>) -> i32 {
             None => eprintln!("  fixture  {} NOT rejected", fx.name),
         }
     }
-    let json = sweep.report.to_json();
-    match out_path {
-        Some(p) => {
-            if let Err(e) = std::fs::write(&p, &json) {
-                eprintln!("error: cannot write {}: {e}", p.display());
-                return 1;
-            }
-            eprintln!("wrote {}", p.display());
-        }
-        None => print!("{json}"),
-    }
     if sweep.failures.is_empty() {
         eprintln!(
             "memo lint: {} configs certified, unsafe fixture rejected",
             sweep.report.configs.len()
         );
-        0
-    } else {
-        eprintln!("memo lint: {} failure(s):", sweep.failures.len());
-        for f in &sweep.failures {
-            eprintln!("  {f}");
-        }
-        1
     }
+    emit_json(&sweep.report.to_json(), out_path, "memo", &sweep.failures)
 }
 
 /// Default thread ladder for `scibench bench`: serial anchor plus the
@@ -385,19 +368,33 @@ fn bench_flags(
     Ok(f)
 }
 
-/// Write `json` to `--out` or stdout; a write failure decides the code.
-fn emit_json(json: &str, out_path: Option<std::path::PathBuf>) -> Result<(), i32> {
+/// The one exit path of every artifact subcommand: write `json` to
+/// `--out` or stdout, print the `gate`'s violations, and return 1 if the
+/// write failed or any check did.
+fn emit_json(
+    json: &str,
+    out_path: Option<std::path::PathBuf>,
+    gate: &str,
+    violations: &[String],
+) -> i32 {
     match out_path {
         Some(p) => {
             if let Err(e) = std::fs::write(&p, json) {
                 eprintln!("error: cannot write {}: {e}", p.display());
-                return Err(1);
+                return 1;
             }
             eprintln!("wrote {}", p.display());
         }
         None => print!("{json}"),
     }
-    Ok(())
+    if violations.is_empty() {
+        return 0;
+    }
+    eprintln!("error: {} {gate} check(s) failed:", violations.len());
+    for v in violations {
+        eprintln!("  {v}");
+    }
+    1
 }
 
 fn bench_e2e(args: &[String]) -> i32 {
@@ -414,40 +411,24 @@ fn bench_e2e(args: &[String]) -> i32 {
          then on the shared data plane{}...",
         if quick { " (quick)" } else { "" }
     );
-    let (results, skipped) = e2e::run_e2e(quick);
-    let mut diverged = 0;
-    for r in &results {
+    let run = e2e::run_e2e(quick);
+    for r in &run.results {
         eprintln!(
-            "  {:<6} {:<11} copies {:>6} -> {:<6} ({:>5.1}% drop)  {:>8.1} ms -> {:<8.1} ms{}",
+            "  {:<6} {:<11} copies {:>6} -> {:<6} ({:>5.1}% drop)  {:>8.1} ms -> {:<8.1} ms",
             r.pipeline,
             r.engine,
             r.copies_before,
             r.copies_after,
             r.copy_drop * 100.0,
             r.ms_before,
-            r.ms_after,
-            if r.outputs_identical {
-                ""
-            } else {
-                "  FINGERPRINT DIVERGED"
-            }
+            r.ms_after
         );
-        if !r.outputs_identical {
-            diverged += 1;
-        }
     }
-    for s in &skipped {
+    for s in &run.skipped {
         eprintln!("  {:<6} {:<11} skipped: {}", s.pipeline, s.engine, s.status);
     }
-    let json = e2e::results_to_json(&results, &skipped, host, quick);
-    if let Err(code) = emit_json(&json, flags.out_path) {
-        return code;
-    }
-    if diverged > 0 {
-        eprintln!("error: {diverged} pipeline(s) diverged between copy modes");
-        return 1;
-    }
-    0
+    let json = e2e::results_to_json(&run, host, quick);
+    emit_json(&json, flags.out_path, "e2e", &run.violations)
 }
 
 fn bench_skew(args: &[String]) -> i32 {
@@ -479,41 +460,20 @@ fn bench_skew(args: &[String]) -> i32 {
         100.0 * run.morsel_cost_nanos.iter().cloned().fold(0.0, f64::max)
             / run.morsel_cost_nanos.iter().sum::<f64>().max(1.0)
     );
-    let mut bad = 0;
     for r in &run.results {
         eprintln!(
             "  workers={}  model imbalance: morsel {:.3} vs static {:.3}   steals={}  \
-             ({:.1} ms vs {:.1} ms){}",
+             ({:.1} ms vs {:.1} ms)",
             r.workers,
             r.morsel.model_imbalance,
             r.static_split.model_imbalance,
             r.morsel.steals,
             r.morsel.ms,
-            r.static_split.ms,
-            if r.outputs_identical {
-                ""
-            } else {
-                "  FINGERPRINT DIVERGED"
-            }
+            r.static_split.ms
         );
-        // Bit-identity is enforced everywhere; the morsel<=static model
-        // regression only on the full run — the quick smoke field is too
-        // small for the scheduling gap to clear measurement noise.
-        if !r.outputs_identical
-            || (!quick && r.morsel.model_imbalance > r.static_split.model_imbalance + 1e-9)
-        {
-            bad += 1;
-        }
     }
     let json = skew::results_to_json(&run, host, quick);
-    if let Err(code) = emit_json(&json, flags.out_path) {
-        return code;
-    }
-    if bad > 0 {
-        eprintln!("error: {bad} worker count(s) diverged or scheduled worse than a static split");
-        return 1;
-    }
-    0
+    emit_json(&json, flags.out_path, "skew", &run.violations)
 }
 
 fn bench_compress(args: &[String]) -> i32 {
@@ -531,7 +491,6 @@ fn bench_compress(args: &[String]) -> i32 {
         if quick { " (quick)" } else { "" }
     );
     let run = compress::run_compress(quick);
-    let mut bad = 0;
     for p in &run.planes {
         eprintln!(
             "  plane {:<9} repr={:<5} {:>8} -> {:<8} bytes ({:>6.1}x)",
@@ -541,65 +500,26 @@ fn bench_compress(args: &[String]) -> i32 {
             p.stored_bytes,
             p.ratio
         );
-        // The acceptance floor: mask and variance planes must compress at
-        // least 2x on this workload; noisy flux legitimately stays dense.
-        if p.plane != "flux" && p.ratio < 2.0 {
-            eprintln!(
-                "    FAIL: {} ratio {:.2} below the 2x floor",
-                p.plane, p.ratio
-            );
-            bad += 1;
-        }
     }
     for k in &run.kernels {
         eprintln!(
-            "  kernel {:<20} {:>10} ns -> {:<10} ns ({:.2}x)  bytes {:>8} -> {:<8}{}",
+            "  kernel {:<20} {:>10} ns -> {:<10} ns ({:.2}x)  bytes {:>8} -> {:<8}",
             k.kernel,
             k.dense_ns,
             k.compressed_ns,
             k.time_ratio,
             k.dense_bytes_read,
-            k.compressed_bytes_read,
-            if k.outputs_identical {
-                ""
-            } else {
-                "  FINGERPRINT DIVERGED"
-            }
+            k.compressed_bytes_read
         );
-        // Each run-level kernel must win on time or bytes moved, and must
-        // be bit-identical to the dense execution.
-        if !k.outputs_identical
-            || (k.compressed_ns >= k.dense_ns && k.compressed_bytes_read >= k.dense_bytes_read)
-        {
-            bad += 1;
-        }
     }
     for p in &run.pipelines {
         eprintln!(
-            "  pipeline {:<6} {:<6} {:>8.1} ms -> {:<8.1} ms{}",
-            p.pipeline,
-            p.engine,
-            p.dense_ms,
-            p.compressed_ms,
-            if p.outputs_identical {
-                ""
-            } else {
-                "  FINGERPRINT DIVERGED"
-            }
+            "  pipeline {:<6} {:<6} {:>8.1} ms -> {:<8.1} ms",
+            p.pipeline, p.engine, p.dense_ms, p.compressed_ms
         );
-        if !p.outputs_identical {
-            bad += 1;
-        }
     }
     let json = compress::results_to_json(&run, host, quick);
-    if let Err(code) = emit_json(&json, flags.out_path) {
-        return code;
-    }
-    if bad > 0 {
-        eprintln!("error: {bad} compression check(s) failed (ratio floor, win, or fingerprint)");
-        return 1;
-    }
-    0
+    emit_json(&json, flags.out_path, "compression", &run.violations)
 }
 
 fn bench_serve(args: &[String]) -> i32 {
@@ -676,17 +596,7 @@ fn bench_serve(args: &[String]) -> i32 {
         );
     }
     let json = serve::results_to_json(&run, host, quick);
-    if let Err(code) = emit_json(&json, flags.out_path) {
-        return code;
-    }
-    if !run.violations.is_empty() {
-        eprintln!("error: {} serve check(s) failed:", run.violations.len());
-        for v in &run.violations {
-            eprintln!("  {v}");
-        }
-        return 1;
-    }
-    0
+    emit_json(&json, flags.out_path, "serve", &run.violations)
 }
 
 fn bench_ooc(args: &[String]) -> i32 {
@@ -728,35 +638,12 @@ fn bench_ooc(args: &[String]) -> i32 {
     );
     for e in &run.engines {
         eprintln!(
-            "  {:<6} {:<11} spills={:<5} spilled={:>10} B  {:>8.1} ms -> {:<8.1} ms{}",
-            e.pipeline,
-            e.engine,
-            e.gov.spills,
-            e.gov.spilled_bytes,
-            e.ms_unbounded,
-            e.ms_budget,
-            if e.outputs_identical {
-                ""
-            } else {
-                "  FINGERPRINT DIVERGED"
-            }
+            "  {:<6} {:<11} spills={:<5} spilled={:>10} B  {:>8.1} ms -> {:<8.1} ms",
+            e.pipeline, e.engine, e.gov.spills, e.gov.spilled_bytes, e.ms_unbounded, e.ms_budget
         );
     }
     let json = ooc::results_to_json(&run, host, quick);
-    if let Err(code) = emit_json(&json, flags.out_path) {
-        return code;
-    }
-    if !run.violations.is_empty() {
-        eprintln!(
-            "error: {} out-of-core check(s) failed:",
-            run.violations.len()
-        );
-        for v in &run.violations {
-            eprintln!("  {v}");
-        }
-        return 1;
-    }
-    0
+    emit_json(&json, flags.out_path, "out-of-core", &run.violations)
 }
 
 fn bench(args: &[String]) -> i32 {
@@ -808,10 +695,7 @@ fn bench(args: &[String]) -> i32 {
         );
     }
     let json = kernels::results_to_json(&results, host);
-    if let Err(code) = emit_json(&json, flags.out_path) {
-        return code;
-    }
-    0
+    emit_json(&json, flags.out_path, "kernel", &[])
 }
 
 fn perf_smoke(args: &[String]) -> i32 {

@@ -17,6 +17,7 @@ use marray::{with_compress_mode, ChunkRepr, CodecCounter, CodecStats, CompressMo
 use scibench_core::costmodel::{pack_for_boundary, PlaneKind};
 use scibench_core::lower::Engine;
 use scibench_core::registry::{run_astro_e2e, run_neuro};
+use scilint::json::{arr, float, obj};
 use sciops::astro::geometry::Exposure;
 use sciops::astro::{coadd_sigma_clip_par, estimate_background_par, BackgroundParams, CoaddParams};
 use sciops::synth::sky::{SkySpec, SkySurvey};
@@ -118,6 +119,8 @@ pub struct CompressRun {
     pub pipelines: Vec<PipelineRow>,
     /// Codec ledger delta over the compressed pipeline runs.
     pub codec: CodecStats,
+    /// Acceptance failures (empty on a green run).
+    pub violations: Vec<String>,
 }
 
 fn plane_row<T: marray::Element>(
@@ -345,89 +348,105 @@ pub fn run_compress(quick: bool) -> CompressRun {
     }
     let codec = CodecCounter::snapshot().since(&codec_before);
 
-    CompressRun {
+    let mut run = CompressRun {
         planes,
         kernels,
         pipelines,
         codec,
+        violations: Vec::new(),
+    };
+    run.violations = violations(&run);
+    run
+}
+
+/// The compression gate.
+fn violations(run: &CompressRun) -> Vec<String> {
+    let mut out = Vec::new();
+    // The acceptance floor: mask and variance planes must compress at
+    // least 2x on this workload; noisy flux legitimately stays dense.
+    for p in &run.planes {
+        if p.plane != "flux" && p.ratio < 2.0 {
+            out.push(format!(
+                "{} ratio {:.2} below the 2x floor",
+                p.plane, p.ratio
+            ));
+        }
     }
+    // Each run-level kernel must win on time or bytes moved, and must be
+    // bit-identical to the dense execution.
+    for k in &run.kernels {
+        if !k.outputs_identical
+            || (k.compressed_ns >= k.dense_ns && k.compressed_bytes_read >= k.dense_bytes_read)
+        {
+            out.push(format!(
+                "kernel {} diverged from its dense run or won on neither time nor bytes",
+                k.kernel
+            ));
+        }
+    }
+    for p in &run.pipelines {
+        if !p.outputs_identical {
+            out.push(format!(
+                "{}/{} diverged between compression off and auto",
+                p.pipeline, p.engine
+            ));
+        }
+    }
+    out
 }
 
 /// Render a run as the `BENCH_compress.json` document
-/// (schema `scibench-bench-compress/v1`). Hand-rolled like the other
-/// bench writers: no JSON dependency in the workspace.
+/// (schema `scibench-bench-compress/v1`).
 pub fn results_to_json(run: &CompressRun, host_parallelism: usize, quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"scibench-bench-compress/v1\",\n");
-    out.push_str(&crate::hostinfo::host_block(host_parallelism));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str("  \"planes\": [\n");
-    for (i, p) in run.planes.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"plane\": \"{}\", \"repr\": \"{}\", \"dense_bytes\": {}, \
-             \"stored_bytes\": {}, \"ratio\": {:.2}}}{}\n",
-            p.plane,
-            p.repr.as_str(),
-            p.dense_bytes,
-            p.stored_bytes,
-            p.ratio,
-            if i + 1 < run.planes.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"kernels\": [\n");
-    for (i, k) in run.kernels.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"dense_ns\": {}, \
-             \"compressed_ns\": {}, \"time_ratio\": {:.3}, \"dense_bytes_read\": {}, \
-             \"compressed_bytes_read\": {}, \"outputs_identical\": {}}}{}\n",
-            k.kernel,
-            k.shape,
-            k.dense_ns,
-            k.compressed_ns,
-            k.time_ratio,
-            k.dense_bytes_read,
-            k.compressed_bytes_read,
-            k.outputs_identical,
-            if i + 1 < run.kernels.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"pipelines\": [\n");
-    for (i, p) in run.pipelines.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"pipeline\": \"{}\", \"engine\": \"{}\", \"dense_ms\": {:.2}, \
-             \"compressed_ms\": {:.2}, \"outputs_identical\": {}}}{}\n",
-            p.pipeline,
-            p.engine,
-            p.dense_ms,
-            p.compressed_ms,
-            p.outputs_identical,
-            if i + 1 < run.pipelines.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"codec\": {\n");
-    let codecs: Vec<String> = run
-        .codec
-        .by_codec
-        .iter()
-        .map(|(name, s)| {
-            format!(
-                "    \"{name}\": {{\"encodes\": {}, \"decodes\": {}, \"dense_bytes\": {}, \
-                 \"encoded_bytes\": {}}}",
-                s.encodes, s.decodes, s.dense_bytes, s.encoded_bytes
-            )
-        })
-        .collect();
-    out.push_str(&codecs.join(",\n"));
-    if !codecs.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("  }\n");
-    out.push_str("}\n");
-    out
+    let planes = run.planes.iter().map(|p| {
+        obj([
+            ("plane", p.plane.into()),
+            ("repr", p.repr.as_str().into()),
+            ("dense_bytes", p.dense_bytes.into()),
+            ("stored_bytes", p.stored_bytes.into()),
+            ("ratio", float(p.ratio, 2)),
+        ])
+    });
+    let kernels = run.kernels.iter().map(|k| {
+        obj([
+            ("kernel", k.kernel.into()),
+            ("shape", k.shape.as_str().into()),
+            ("dense_ns", k.dense_ns.into()),
+            ("compressed_ns", k.compressed_ns.into()),
+            ("time_ratio", float(k.time_ratio, 3)),
+            ("dense_bytes_read", k.dense_bytes_read.into()),
+            ("compressed_bytes_read", k.compressed_bytes_read.into()),
+            ("outputs_identical", k.outputs_identical.into()),
+        ])
+    });
+    let pipelines = run.pipelines.iter().map(|p| {
+        obj([
+            ("pipeline", p.pipeline.into()),
+            ("engine", p.engine.into()),
+            ("dense_ms", float(p.dense_ms, 2)),
+            ("compressed_ms", float(p.compressed_ms, 2)),
+            ("outputs_identical", p.outputs_identical.into()),
+        ])
+    });
+    let codec = run.codec.by_codec.iter().map(|(name, s)| {
+        let traffic = [
+            ("encodes", s.encodes.into()),
+            ("decodes", s.decodes.into()),
+            ("dense_bytes", s.dense_bytes.into()),
+            ("encoded_bytes", s.encoded_bytes.into()),
+        ];
+        (name.as_str(), obj(traffic))
+    });
+    obj([
+        ("schema", "scibench-bench-compress/v1".into()),
+        ("host", crate::hostinfo::host_block(host_parallelism)),
+        ("quick", quick.into()),
+        ("planes", arr(planes)),
+        ("kernels", arr(kernels)),
+        ("pipelines", arr(pipelines)),
+        ("codec", obj(codec)),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -473,9 +492,8 @@ mod tests {
         assert!((flux.ratio - 1.0).abs() < 1e-12);
     }
 
-    #[test]
-    fn json_schema_and_fields_are_stable() {
-        let run = CompressRun {
+    fn sample_run() -> CompressRun {
+        CompressRun {
             planes: vec![PlaneRow {
                 plane: "mask",
                 repr: ChunkRepr::Const,
@@ -501,7 +519,29 @@ mod tests {
                 outputs_identical: true,
             }],
             codec: CodecStats::default(),
-        };
+            violations: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn gate_flags_a_non_flux_plane_under_the_2x_floor() {
+        let mut run = sample_run();
+        assert!(violations(&run).is_empty());
+        run.planes.push(PlaneRow {
+            plane: "flux",
+            repr: ChunkRepr::Dense,
+            dense_bytes: 2304,
+            stored_bytes: 2304,
+            ratio: 1.0,
+        });
+        assert!(violations(&run).is_empty(), "flux may stay dense");
+        run.planes[0].ratio = 1.9;
+        assert_eq!(violations(&run), ["mask ratio 1.90 below the 2x floor"]);
+    }
+
+    #[test]
+    fn json_schema_and_fields_are_stable() {
+        let run = sample_run();
         let json = results_to_json(&run, 1, true);
         assert!(json.contains("\"schema\": \"scibench-bench-compress/v1\""));
         assert!(json.contains("\"single_core_host\": true"));

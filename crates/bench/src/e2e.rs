@@ -15,6 +15,7 @@ use scibench_core::lower::Engine;
 use scibench_core::registry::{self, NeuroRun, UseCase, ENGINES};
 use scibench_core::usecases::astro as astro_uc;
 use scibench_core::usecases::neuro as neuro_uc;
+use scilint::json::{arr, float, obj, Json};
 use sciops::synth::sky::{SkySpec, SkySurvey};
 use sciserve::Fingerprint;
 use std::collections::BTreeMap;
@@ -182,6 +183,17 @@ pub fn suite(quick: bool) -> (Vec<E2eCase>, Vec<E2eSkip>) {
     (cases, skipped)
 }
 
+/// A whole `scibench bench e2e` run.
+#[derive(Debug, Clone)]
+pub struct E2eRun {
+    /// One row per runnable pipeline/engine case.
+    pub results: Vec<E2eResult>,
+    /// The combinations the paper reports as absent.
+    pub skipped: Vec<E2eSkip>,
+    /// Acceptance failures (empty on a green run).
+    pub violations: Vec<String>,
+}
+
 /// Run `case` once under `mode`, returning (fingerprint, copy delta, ms).
 fn measure(case: &E2eCase, mode: CopyMode) -> (u64, CopyStats, f64) {
     with_copy_mode(mode, || {
@@ -195,7 +207,7 @@ fn measure(case: &E2eCase, mode: CopyMode) -> (u64, CopyStats, f64) {
 
 /// Run the whole matrix: every case under the eager baseline, then under
 /// the shared data plane, asserting fingerprint equality between modes.
-pub fn run_e2e(quick: bool) -> (Vec<E2eResult>, Vec<E2eSkip>) {
+pub fn run_e2e(quick: bool) -> E2eRun {
     let (cases, skipped) = suite(quick);
     let mut results = Vec::new();
     for case in &cases {
@@ -224,64 +236,59 @@ pub fn run_e2e(quick: bool) -> (Vec<E2eResult>, Vec<E2eSkip>) {
             outputs_identical: fp_eager == fp_shared,
         });
     }
-    (results, skipped)
+    E2eRun {
+        violations: violations(&results),
+        results,
+        skipped,
+    }
 }
 
-/// Render e2e results as the `BENCH_e2e.json` document
-/// (schema `scibench-bench-e2e/v1`). Hand-rolled like
-/// [`crate::kernels::results_to_json`]: no JSON dependency in the
-/// workspace.
-pub fn results_to_json(
-    results: &[E2eResult],
-    skipped: &[E2eSkip],
-    host_parallelism: usize,
-    quick: bool,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"scibench-bench-e2e/v1\",\n");
-    out.push_str(&crate::hostinfo::host_block(host_parallelism));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
+/// The e2e gate: eager and shared runs must agree bit for bit.
+fn violations(results: &[E2eResult]) -> Vec<String> {
+    results
+        .iter()
+        .filter(|r| !r.outputs_identical)
+        .map(|r| format!("{}/{} diverged between copy modes", r.pipeline, r.engine))
+        .collect()
+}
+
+/// Render an e2e run as the `BENCH_e2e.json` document
+/// (schema `scibench-bench-e2e/v1`).
+pub fn results_to_json(run: &E2eRun, host_parallelism: usize, quick: bool) -> String {
+    let results = run.results.iter().map(|r| {
         let reasons = r
             .reasons_after
             .iter()
-            .map(|(k, v)| format!("\"{k}\": {v}"))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "    {{\"pipeline\": \"{}\", \"engine\": \"{}\", \"copies_before\": {}, \
-             \"bytes_before\": {}, \"ms_before\": {:.2}, \"copies_after\": {}, \
-             \"bytes_after\": {}, \"ms_after\": {:.2}, \"copy_drop\": {:.4}, \
-             \"outputs_identical\": {}, \"reasons_after\": {{{reasons}}}}}{}\n",
-            r.pipeline,
-            r.engine,
-            r.copies_before,
-            r.bytes_before,
-            r.ms_before,
-            r.copies_after,
-            r.bytes_after,
-            r.ms_after,
-            r.copy_drop,
-            r.outputs_identical,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"skipped\": [\n");
-    for (i, s) in skipped.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"pipeline\": \"{}\", \"engine\": \"{}\", \"status\": \"{}\"}}{}\n",
-            s.pipeline,
-            s.engine,
-            s.status,
-            if i + 1 < skipped.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+            .map(|(k, v)| (k.as_str(), Json::from(*v)));
+        obj([
+            ("pipeline", r.pipeline.into()),
+            ("engine", r.engine.into()),
+            ("copies_before", r.copies_before.into()),
+            ("bytes_before", r.bytes_before.into()),
+            ("ms_before", float(r.ms_before, 2)),
+            ("copies_after", r.copies_after.into()),
+            ("bytes_after", r.bytes_after.into()),
+            ("ms_after", float(r.ms_after, 2)),
+            ("copy_drop", float(r.copy_drop, 4)),
+            ("outputs_identical", r.outputs_identical.into()),
+            ("reasons_after", obj(reasons)),
+        ])
+    });
+    let skipped = run.skipped.iter().map(|s| {
+        obj([
+            ("pipeline", s.pipeline.into()),
+            ("engine", s.engine.into()),
+            ("status", s.status.as_str().into()),
+        ])
+    });
+    obj([
+        ("schema", "scibench-bench-e2e/v1".into()),
+        ("host", crate::hostinfo::host_block(host_parallelism)),
+        ("quick", quick.into()),
+        ("results", arr(results)),
+        ("skipped", arr(skipped)),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -311,9 +318,8 @@ mod tests {
             .any(|s| s.pipeline == "astro" && s.engine == "tensorflow"));
     }
 
-    #[test]
-    fn json_schema_and_fields_are_stable() {
-        let results = vec![E2eResult {
+    fn sample_result() -> E2eResult {
+        E2eResult {
             pipeline: "neuro",
             engine: "spark",
             copies_before: 100,
@@ -325,13 +331,34 @@ mod tests {
             copy_drop: 0.9,
             reasons_after: vec![("cow".to_string(), 10)],
             outputs_identical: true,
-        }];
+        }
+    }
+
+    #[test]
+    fn gate_flags_a_fingerprint_divergence() {
+        let mut diverged = sample_result();
+        diverged.outputs_identical = false;
+        assert!(violations(&[sample_result()]).is_empty());
+        assert_eq!(
+            violations(&[sample_result(), diverged]),
+            ["neuro/spark diverged between copy modes"]
+        );
+    }
+
+    #[test]
+    fn json_schema_and_fields_are_stable() {
+        let results = vec![sample_result()];
         let skipped = vec![E2eSkip {
             pipeline: "astro",
             engine: "dask",
             status: "frozen".to_string(),
         }];
-        let json = results_to_json(&results, &skipped, 1, true);
+        let run = E2eRun {
+            results,
+            skipped,
+            violations: Vec::new(),
+        };
+        let json = results_to_json(&run, 1, true);
         assert!(json.contains("\"schema\": \"scibench-bench-e2e/v1\""));
         assert!(json.contains("\"single_core_host\": true"));
         assert!(json.contains("\"copies_before\": 100"));

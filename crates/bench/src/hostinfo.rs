@@ -6,7 +6,9 @@
 //! system memory, and the single-core flag, so a ~1x curve, a serial
 //! wall time from a one-core host, or a spill measurement from a
 //! memory-starved host can never be mistaken for a representative
-//! measurement. One writer here keeps the schemas byte-compatible.
+//! measurement.
+
+use scilint::json::{obj, Json};
 
 /// Detect the host's available parallelism (1 when the query fails).
 pub fn available_parallelism() -> usize {
@@ -36,15 +38,13 @@ pub fn total_memory_bytes() -> u64 {
         .map_or(0, |kb| kb * 1024)
 }
 
-/// Render the shared host block, indented for a top-level JSON object:
-/// `  "host": {...},` plus the trailing newline.
-pub fn host_block(host_parallelism: usize) -> String {
-    format!(
-        "  \"host\": {{\n    \"available_parallelism\": {host_parallelism},\n    \
-         \"total_memory_bytes\": {},\n    \"single_core_host\": {}\n  }},\n",
-        total_memory_bytes(),
-        host_parallelism == 1
-    )
+/// The shared host block: parallelism, total memory, single-core flag.
+pub fn host_block(host_parallelism: usize) -> Json {
+    obj([
+        ("available_parallelism", host_parallelism.into()),
+        ("total_memory_bytes", total_memory_bytes().into()),
+        ("single_core_host", (host_parallelism == 1).into()),
+    ])
 }
 
 #[cfg(test)]
@@ -53,9 +53,15 @@ mod tests {
 
     #[test]
     fn single_core_flag_tracks_parallelism() {
-        assert!(host_block(1).contains("\"single_core_host\": true"));
-        assert!(host_block(8).contains("\"single_core_host\": false"));
-        assert!(host_block(8).contains("\"available_parallelism\": 8"));
+        assert!(host_block(1)
+            .render()
+            .contains("\"single_core_host\": true"));
+        assert!(host_block(8)
+            .render()
+            .contains("\"single_core_host\": false"));
+        assert!(host_block(8)
+            .render()
+            .contains("\"available_parallelism\": 8"));
     }
 
     #[test]
@@ -65,7 +71,7 @@ mod tests {
 
     #[test]
     fn host_block_carries_total_memory() {
-        assert!(host_block(1).contains("\"total_memory_bytes\": "));
+        assert!(host_block(1).render().contains("\"total_memory_bytes\": "));
         // On Linux (the CI host) /proc/meminfo is readable and non-zero;
         // elsewhere the probe degrades to the explicit 0 sentinel.
         if cfg!(target_os = "linux") {

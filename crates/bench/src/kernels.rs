@@ -8,6 +8,7 @@
 //! of the same case must produce the same fingerprint because the kernels
 //! guarantee bit-identical outputs at every worker count.
 
+use scilint::json::{arr, float, obj};
 use sciops::astro::coadd::Coadd;
 use sciops::astro::pipeline::{create_patches, merge_visit_pieces};
 use sciops::astro::{
@@ -261,28 +262,23 @@ pub fn run_bench(thread_levels: &[usize], reps: usize) -> Vec<BenchResult> {
 }
 
 /// Render bench results as the `BENCH_kernels.json` document
-/// (schema `scibench-bench-kernels/v1`). Hand-rolled writer: the workspace
-/// has no JSON dependency, and the schema is flat.
+/// (schema `scibench-bench-kernels/v1`).
 pub fn results_to_json(results: &[BenchResult], host_parallelism: usize) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"scibench-bench-kernels/v1\",\n");
-    out.push_str(&crate::hostinfo::host_block(host_parallelism));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"kernel\": \"{}\", \"shape\": \"{}\", \"threads\": {}, \"ns_per_iter\": {}, \"speedup_vs_serial\": {:.4}}}{}\n",
-            r.kernel,
-            r.shape,
-            r.threads,
-            r.ns_per_iter,
-            r.speedup_vs_serial,
-            if i + 1 < results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let rows = results.iter().map(|r| {
+        obj([
+            ("kernel", r.kernel.into()),
+            ("shape", r.shape.as_str().into()),
+            ("threads", r.threads.into()),
+            ("ns_per_iter", r.ns_per_iter.into()),
+            ("speedup_vs_serial", float(r.speedup_vs_serial, 4)),
+        ])
+    });
+    obj([
+        ("schema", "scibench-bench-kernels/v1".into()),
+        ("host", crate::hostinfo::host_block(host_parallelism)),
+        ("results", arr(rows)),
+    ])
+    .render()
 }
 
 #[cfg(test)]

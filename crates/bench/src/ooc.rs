@@ -30,6 +30,7 @@
 
 use marray::{with_mem_budget, GovStats, MemoryGovernor, NdArray};
 use scibench_core::costmodel::choose_chunk_shape;
+use scilint::json::{arr, float, obj};
 use sciserve::Fingerprint;
 use simcluster::{ClusterSpec, TaskGraph, TaskSpec};
 use std::time::Instant;
@@ -313,64 +314,53 @@ pub fn run_ooc(quick: bool) -> OocRun {
     }
 }
 
-/// Render `BENCH_ooc.json` (schema `scibench-bench-ooc/v1`). Hand-rolled
-/// like the other bench writers: no JSON dependency in the workspace.
+/// Render `BENCH_ooc.json` (schema `scibench-bench-ooc/v1`).
 pub fn results_to_json(run: &OocRun, host_parallelism: usize, quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"scibench-bench-ooc/v1\",\n");
-    out.push_str(&crate::hostinfo::host_block(host_parallelism));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"dataset_bytes\": {},\n", run.dataset_bytes));
-    out.push_str("  \"budget_rows\": [\n");
-    for (i, r) in run.rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"budget\": \"{}\", \"budget_bytes\": {}, \"chunk_rows\": {}, \
-             \"chunk_bytes\": {}, \"fingerprint\": \"{:016x}\", \"spills\": {}, \
-             \"reloads\": {}, \"spilled_bytes\": {}, \"reloaded_bytes\": {}, \
-             \"peak_resident\": {}, \"ms\": {:.2}}}{}\n",
-            r.label,
-            r.budget_bytes,
-            r.chunk_rows,
-            r.chunk_bytes,
-            r.fingerprint,
-            r.gov.spills,
-            r.gov.reloads,
-            r.gov.spilled_bytes,
-            r.gov.reloaded_bytes,
-            r.gov.peak_resident,
-            r.ms,
-            if i + 1 < run.rows.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
-    out.push_str(&format!(
-        "  \"plancheck\": {{\"estimated_demand_bytes\": {}, \"measured_peak_bytes\": {}, \
-         \"ratio\": {:.2}, \"factor_bound\": {:.1}}},\n",
-        run.estimated_demand_bytes, run.measured_peak_bytes, run.demand_ratio, DEMAND_FACTOR
-    ));
-    out.push_str(&format!("  \"engine_budget_bytes\": {ENGINE_BUDGET},\n"));
-    out.push_str("  \"engines\": [\n");
-    for (i, e) in run.engines.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"pipeline\": \"{}\", \"engine\": \"{}\", \"spills\": {}, \"reloads\": {}, \
-             \"spilled_bytes\": {}, \"peak_resident\": {}, \"outputs_identical\": {}, \
-             \"ms_unbounded\": {:.2}, \"ms_budget\": {:.2}}}{}\n",
-            e.pipeline,
-            e.engine,
-            e.gov.spills,
-            e.gov.reloads,
-            e.gov.spilled_bytes,
-            e.gov.peak_resident,
-            e.outputs_identical,
-            e.ms_unbounded,
-            e.ms_budget,
-            if i + 1 < run.engines.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let rows = run.rows.iter().map(|r| {
+        obj([
+            ("budget", r.label.into()),
+            ("budget_bytes", r.budget_bytes.into()),
+            ("chunk_rows", r.chunk_rows.into()),
+            ("chunk_bytes", r.chunk_bytes.into()),
+            ("fingerprint", format!("{:016x}", r.fingerprint).into()),
+            ("spills", r.gov.spills.into()),
+            ("reloads", r.gov.reloads.into()),
+            ("spilled_bytes", r.gov.spilled_bytes.into()),
+            ("reloaded_bytes", r.gov.reloaded_bytes.into()),
+            ("peak_resident", r.gov.peak_resident.into()),
+            ("ms", float(r.ms, 2)),
+        ])
+    });
+    let engines = run.engines.iter().map(|e| {
+        obj([
+            ("pipeline", e.pipeline.into()),
+            ("engine", e.engine.into()),
+            ("spills", e.gov.spills.into()),
+            ("reloads", e.gov.reloads.into()),
+            ("spilled_bytes", e.gov.spilled_bytes.into()),
+            ("peak_resident", e.gov.peak_resident.into()),
+            ("outputs_identical", e.outputs_identical.into()),
+            ("ms_unbounded", float(e.ms_unbounded, 2)),
+            ("ms_budget", float(e.ms_budget, 2)),
+        ])
+    });
+    let plancheck = obj([
+        ("estimated_demand_bytes", run.estimated_demand_bytes.into()),
+        ("measured_peak_bytes", run.measured_peak_bytes.into()),
+        ("ratio", float(run.demand_ratio, 2)),
+        ("factor_bound", float(DEMAND_FACTOR, 1)),
+    ]);
+    obj([
+        ("schema", "scibench-bench-ooc/v1".into()),
+        ("host", crate::hostinfo::host_block(host_parallelism)),
+        ("quick", quick.into()),
+        ("dataset_bytes", run.dataset_bytes.into()),
+        ("budget_rows", arr(rows)),
+        ("plancheck", plancheck),
+        ("engine_budget_bytes", ENGINE_BUDGET.into()),
+        ("engines", arr(engines)),
+    ])
+    .render()
 }
 
 #[cfg(test)]

@@ -32,6 +32,7 @@ use std::time::Instant;
 use marray::CopyCounter;
 use parexec::Parallelism;
 use scibench_core::lower::Engine;
+use scilint::json::{arr, float, obj, Json};
 use scimemo::MemoStats;
 use sciserve::{demo_catalog, AstroMode, Pipeline, QueryDesc, ServeOutcome, Server};
 
@@ -507,88 +508,106 @@ pub fn run_serve(
 
 /// Render `BENCH_serve.json` (schema `scibench-bench-serve/v1`).
 pub fn results_to_json(run: &ServeRun, host_parallelism: usize, quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"scibench-bench-serve/v1\",\n");
-    out.push_str(&crate::hostinfo::host_block(host_parallelism));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!(
-        "  \"requests\": {{\"total\": {}, \"served\": {}, \"rejected\": {}, \"warm\": {}, \
-         \"cold\": {}, \"bypass\": {}}},\n",
-        run.requests, run.served, run.rejected, run.warm, run.cold, run.bypass
-    ));
-    out.push_str(&format!(
-        "  \"cache\": {{\"hits\": {}, \"misses\": {}, \"bypasses\": {}, \"evictions\": {}, \
-         \"evicted_bytes\": {}, \"resident_entries\": {}, \"resident_bytes\": {}, \
-         \"budget_bytes\": {}}},\n",
-        run.stats.hits,
-        run.stats.misses,
-        run.stats.bypasses,
-        run.stats.evictions,
-        run.stats.evicted_bytes,
-        run.resident_entries,
-        run.resident_bytes,
-        run.budget_bytes
-    ));
-    out.push_str(&format!(
-        "  \"latency_us\": {{\"p50\": {:.1}, \"p95\": {:.1}, \"p99\": {:.1}, \
-         \"cold_p50\": {:.1}, \"warm_p50\": {:.1}, \"warm_speedup\": {:.1}}},\n",
-        run.p50_us, run.p95_us, run.p99_us, run.cold_p50_us, run.warm_p50_us, run.warm_speedup
-    ));
-    out.push_str(&format!(
-        "  \"copies\": {{\"serial_replay\": {{\"copies\": {}, \"bytes\": {}}}, \
-         \"warm_requests\": {{\"copies\": {}, \"bytes\": {}}}, \
-         \"cache_off_replay\": {{\"copies\": {}, \"bytes\": {}}}}},\n",
-        run.serial_copies,
-        run.serial_copy_bytes,
-        run.warm_copies,
-        run.warm_copy_bytes,
-        run.cache_off_copies,
-        run.cache_off_copy_bytes
-    ));
-    out.push_str(&format!(
-        "  \"throughput_rps\": {{\"serial_cache_on\": {:.1}, \"concurrent_cache_on\": {:.1}, \
-         \"serial_cache_off\": {:.1}}},\n",
-        run.requests as f64 / run.serial_s.max(1e-9),
-        run.requests as f64 / run.concurrent_s.max(1e-9),
-        run.requests as f64 / run.cache_off_s.max(1e-9)
-    ));
-    out.push_str(&format!(
-        "  \"small_budget\": {{\"budget_bytes\": {}, \"hits\": {}, \"misses\": {}, \
-         \"evictions\": {}, \"evicted_bytes\": {}, \"resident_bytes\": {}, \
-         \"matches_full_budget\": {}}},\n",
-        run.small_budget_bytes,
-        run.small_stats.hits,
-        run.small_stats.misses,
-        run.small_stats.evictions,
-        run.small_stats.evicted_bytes,
-        run.small_resident_bytes,
-        run.small_matches
-    ));
-    out.push_str(&format!(
-        "  \"comparisons\": {{\"concurrent_matches_serial\": {}, \
-         \"cache_off_matches_cache_on\": {}}},\n",
-        run.concurrent_matches, run.cache_off_matches
-    ));
-    out.push_str("  \"queries\": [\n");
-    for (i, q) in run.queries.iter().enumerate() {
-        let probes: Vec<String> = q.first_probes.iter().map(|p| format!("\"{p}\"")).collect();
-        out.push_str(&format!(
-            "    {{\"key\": \"{}\", \"requests\": {}, \"rejected\": {}, \
-             \"first_probes\": [{}], \"cold_us\": {}, \"warm_p50_us\": {}}}{}\n",
-            q.key,
-            q.requests,
-            q.rejected,
-            probes.join(", "),
-            q.cold_us.map_or("null".to_string(), |v| format!("{v:.1}")),
-            q.warm_p50_us
-                .map_or("null".to_string(), |v| format!("{v:.1}")),
-            if i + 1 < run.queries.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let rps = |seconds: f64| float(run.requests as f64 / seconds.max(1e-9), 1);
+    let copies =
+        |copies: u64, bytes: u64| obj([("copies", copies.into()), ("bytes", bytes.into())]);
+    let us = |v: Option<f64>| v.map_or(Json::Null, |v| float(v, 1));
+    let queries = run.queries.iter().map(|q| {
+        obj([
+            ("key", q.key.as_str().into()),
+            ("requests", q.requests.into()),
+            ("rejected", q.rejected.into()),
+            ("first_probes", arr(q.first_probes.iter().copied())),
+            ("cold_us", us(q.cold_us)),
+            ("warm_p50_us", us(q.warm_p50_us)),
+        ])
+    });
+    obj([
+        ("schema", "scibench-bench-serve/v1".into()),
+        ("host", crate::hostinfo::host_block(host_parallelism)),
+        ("quick", quick.into()),
+        (
+            "requests",
+            obj([
+                ("total", run.requests.into()),
+                ("served", run.served.into()),
+                ("rejected", run.rejected.into()),
+                ("warm", run.warm.into()),
+                ("cold", run.cold.into()),
+                ("bypass", run.bypass.into()),
+            ]),
+        ),
+        (
+            "cache",
+            obj([
+                ("hits", run.stats.hits.into()),
+                ("misses", run.stats.misses.into()),
+                ("bypasses", run.stats.bypasses.into()),
+                ("evictions", run.stats.evictions.into()),
+                ("evicted_bytes", run.stats.evicted_bytes.into()),
+                ("resident_entries", run.resident_entries.into()),
+                ("resident_bytes", run.resident_bytes.into()),
+                ("budget_bytes", run.budget_bytes.into()),
+            ]),
+        ),
+        (
+            "latency_us",
+            obj([
+                ("p50", float(run.p50_us, 1)),
+                ("p95", float(run.p95_us, 1)),
+                ("p99", float(run.p99_us, 1)),
+                ("cold_p50", float(run.cold_p50_us, 1)),
+                ("warm_p50", float(run.warm_p50_us, 1)),
+                ("warm_speedup", float(run.warm_speedup, 1)),
+            ]),
+        ),
+        (
+            "copies",
+            obj([
+                (
+                    "serial_replay",
+                    copies(run.serial_copies, run.serial_copy_bytes),
+                ),
+                (
+                    "warm_requests",
+                    copies(run.warm_copies, run.warm_copy_bytes),
+                ),
+                (
+                    "cache_off_replay",
+                    copies(run.cache_off_copies, run.cache_off_copy_bytes),
+                ),
+            ]),
+        ),
+        (
+            "throughput_rps",
+            obj([
+                ("serial_cache_on", rps(run.serial_s)),
+                ("concurrent_cache_on", rps(run.concurrent_s)),
+                ("serial_cache_off", rps(run.cache_off_s)),
+            ]),
+        ),
+        (
+            "small_budget",
+            obj([
+                ("budget_bytes", run.small_budget_bytes.into()),
+                ("hits", run.small_stats.hits.into()),
+                ("misses", run.small_stats.misses.into()),
+                ("evictions", run.small_stats.evictions.into()),
+                ("evicted_bytes", run.small_stats.evicted_bytes.into()),
+                ("resident_bytes", run.small_resident_bytes.into()),
+                ("matches_full_budget", run.small_matches.into()),
+            ]),
+        ),
+        (
+            "comparisons",
+            obj([
+                ("concurrent_matches_serial", run.concurrent_matches.into()),
+                ("cache_off_matches_cache_on", run.cache_off_matches.into()),
+            ]),
+        ),
+        ("queries", arr(queries)),
+    ])
+    .render()
 }
 
 #[cfg(test)]
@@ -608,6 +627,93 @@ mod tests {
         }
         // The prologue is one cold pass over the whole mix, in order.
         assert_eq!(&wa[..mix.len()], &(0..mix.len()).collect::<Vec<_>>()[..]);
+    }
+
+    #[test]
+    fn json_schema_and_fields_are_stable() {
+        let stats = MemoStats {
+            hits: 140,
+            misses: 12,
+            bypasses: 6,
+            evictions: 0,
+            evicted_bytes: 0,
+        };
+        let query = |key: &str,
+                     probes: Vec<&'static str>,
+                     cold_us: Option<f64>,
+                     warm_p50_us: Option<f64>| QuerySummary {
+            key: key.to_string(),
+            requests: 20,
+            rejected: if cold_us.is_none() { 20 } else { 0 },
+            first_probes: probes,
+            cold_us,
+            warm_p50_us,
+        };
+        let run = ServeRun {
+            requests: 160,
+            served: 156,
+            rejected: 4,
+            warm: 138,
+            cold: 12,
+            bypass: 6,
+            stats,
+            resident_entries: 11,
+            resident_bytes: 4096,
+            budget_bytes: CACHE_BUDGET,
+            p50_us: 3.24,
+            p95_us: 900.0,
+            p99_us: 1500.0,
+            cold_p50_us: 1200.0,
+            warm_p50_us: 3.0,
+            warm_speedup: 400.0,
+            serial_s: 0.5,
+            concurrent_s: 0.25,
+            cache_off_s: 2.0,
+            serial_copies: 7,
+            serial_copy_bytes: 700,
+            warm_copies: 0,
+            warm_copy_bytes: 0,
+            cache_off_copies: 70,
+            cache_off_copy_bytes: 7000,
+            concurrent_matches: true,
+            cache_off_matches: true,
+            small_budget_bytes: 2048,
+            small_stats: MemoStats {
+                evictions: 5,
+                evicted_bytes: 5120,
+                ..stats
+            },
+            small_resident_bytes: 2000,
+            small_matches: true,
+            queries: vec![
+                query(
+                    "spark/neuro-fa/dmri@1",
+                    vec!["hit", "hit", "miss"],
+                    Some(1234.56),
+                    Some(2.5),
+                ),
+                query("myria/astro-full/hits-deep@1", Vec::new(), None, None),
+            ],
+            violations: Vec::new(),
+        };
+        let json = results_to_json(&run, 2, true);
+        assert!(json.contains("\"schema\": \"scibench-bench-serve/v1\""));
+        assert!(json.contains("\"single_core_host\": false"));
+        assert!(json.contains(
+            "\"requests\": {\"total\": 160, \"served\": 156, \"rejected\": 4, \"warm\": 138, \
+             \"cold\": 12, \"bypass\": 6}"
+        ));
+        assert!(json.contains("\"p50\": 3.2, "), "one decimal:\n{json}");
+        assert!(json.contains("\"warm_requests\": {\"copies\": 0, \"bytes\": 0}"));
+        assert!(json.contains("\"serial_cache_on\": 320.0"));
+        assert!(json.contains("\"evictions\": 5, \"evicted_bytes\": 5120"));
+        assert!(json.contains(
+            "{\"key\": \"spark/neuro-fa/dmri@1\", \"requests\": 20, \"rejected\": 0, \
+             \"first_probes\": [\"hit\", \"hit\", \"miss\"], \"cold_us\": 1234.6, \
+             \"warm_p50_us\": 2.5}"
+        ));
+        assert!(json.contains("\"first_probes\": [], \"cold_us\": null, \"warm_p50_us\": null}"));
+        assert!(!json.contains(",\n  ]"), "no trailing comma:\n{json}");
     }
 
     #[test]

@@ -23,6 +23,7 @@
 
 use parexec::{imbalance_ratio, simulate_workers, MorselPool, Parallelism, PoolStats, Schedule};
 use scibench_core::costmodel::KernelScaling;
+use scilint::json::{arr, float, obj, Json};
 use sciops::astro::pipeline::{create_patches, merge_visit_pieces};
 use sciops::astro::{
     calibrate_exposure, coadd_sigma_clip, detect_sources, CalibParams, CoaddParams, DetectParams,
@@ -119,6 +120,8 @@ pub struct SkewRun {
     /// Intra-node scaling curve the cost model predicts from the measured
     /// morsel costs ([`KernelScaling::from_morsel_costs`]).
     pub predicted_scaling: Vec<(usize, f64)>,
+    /// Acceptance failures (empty on a green run).
+    pub violations: Vec<String>,
 }
 
 /// Calibrate, patch and merge the survey into per-patch visit stacks —
@@ -266,79 +269,88 @@ pub fn run_skew(quick: bool) -> SkewRun {
         patches: items.len(),
         morsels: costs.len(),
         morsel_cost_nanos: costs,
+        violations: violations(&results, quick),
         results,
         predicted_scaling: predicted.points,
     }
 }
 
-fn cell_json(c: &SkewCell) -> String {
-    let morsels = c
-        .per_worker_morsels
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "{{\"model_imbalance\": {:.4}, \"measured_imbalance\": {:.4}, \"steals\": {}, \
-         \"per_worker_morsels\": [{morsels}], \"ms\": {:.2}}}",
-        c.model_imbalance, c.measured_imbalance, c.steals, c.ms
-    )
+/// The skew gate. Bit-identity is enforced everywhere; the morsel<=static
+/// model regression only on the full run — the quick smoke field is too
+/// small for the scheduling gap to clear measurement noise.
+fn violations(results: &[SkewResult], quick: bool) -> Vec<String> {
+    let mut out = Vec::new();
+    for r in results {
+        if !r.outputs_identical {
+            out.push(format!(
+                "workers={}: diverged from the serial run",
+                r.workers
+            ));
+        }
+        if !quick && r.morsel.model_imbalance > r.static_split.model_imbalance + 1e-9 {
+            out.push(format!(
+                "workers={}: morsel model imbalance {:.3} scheduled worse than static {:.3}",
+                r.workers, r.morsel.model_imbalance, r.static_split.model_imbalance
+            ));
+        }
+    }
+    out
 }
 
 /// Render a skew run as the `BENCH_skew.json` document
-/// (schema `scibench-bench-skew/v1`). Hand-rolled like the other bench
-/// emitters: no JSON dependency in the workspace.
+/// (schema `scibench-bench-skew/v1`).
 pub fn results_to_json(run: &SkewRun, host_parallelism: usize, quick: bool) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"schema\": \"scibench-bench-skew/v1\",\n");
-    out.push_str(&crate::hostinfo::host_block(host_parallelism));
-    out.push_str(&format!("  \"quick\": {quick},\n"));
-    out.push_str(&format!("  \"patches\": {},\n", run.patches));
-    out.push_str(&format!("  \"morsels\": {},\n", run.morsels));
-    out.push_str("  \"results\": [\n");
-    for (i, r) in run.results.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"workers\": {}, \"morsel\": {}, \"static\": {}, \
-             \"outputs_identical\": {}}}{}\n",
-            r.workers,
-            cell_json(&r.morsel),
-            cell_json(&r.static_split),
-            r.outputs_identical,
-            if i + 1 < run.results.len() { "," } else { "" }
-        ));
-    }
-    out.push_str("  ],\n");
+    let cell = |c: &SkewCell| {
+        obj([
+            ("model_imbalance", float(c.model_imbalance, 4)),
+            ("measured_imbalance", float(c.measured_imbalance, 4)),
+            ("steals", c.steals.into()),
+            (
+                "per_worker_morsels",
+                arr(c.per_worker_morsels.iter().copied()),
+            ),
+            ("ms", float(c.ms, 2)),
+        ])
+    };
+    let results = run.results.iter().map(|r| {
+        obj([
+            ("workers", r.workers.into()),
+            ("morsel", cell(&r.morsel)),
+            ("static", cell(&r.static_split)),
+            ("outputs_identical", r.outputs_identical.into()),
+        ])
+    });
+    let mut members = vec![
+        ("schema", "scibench-bench-skew/v1".into()),
+        ("host", crate::hostinfo::host_block(host_parallelism)),
+        ("quick", quick.into()),
+        ("patches", run.patches.into()),
+        ("morsels", run.morsels.into()),
+        ("results", arr(results)),
+    ];
     // The summary block is what plancheck's skew-awareness pass reads:
     // the static imbalance at the widest sweep point is the skew a
     // non-morsel engine would see on this workload.
     if let Some(last) = run.results.last() {
-        out.push_str("  \"summary\": {\n");
-        out.push_str(&format!("    \"workers\": {},\n", last.workers));
-        out.push_str(&format!(
-            "    \"model_imbalance_morsel\": {:.4},\n",
-            last.morsel.model_imbalance
-        ));
-        out.push_str(&format!(
-            "    \"model_imbalance_static\": {:.4}\n",
-            last.static_split.model_imbalance
-        ));
-        out.push_str("  },\n");
+        let summary = [
+            ("workers", last.workers.into()),
+            (
+                "model_imbalance_morsel",
+                float(last.morsel.model_imbalance, 4),
+            ),
+            (
+                "model_imbalance_static",
+                float(last.static_split.model_imbalance, 4),
+            ),
+        ];
+        members.push(("summary", obj(summary)));
     }
-    out.push_str("  \"predicted_scaling\": [\n");
-    for (i, (t, s)) in run.predicted_scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "    [{t}, {s:.4}]{}\n",
-            if i + 1 < run.predicted_scaling.len() {
-                ","
-            } else {
-                ""
-            }
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
+    let scaling = run
+        .predicted_scaling
+        .iter()
+        .map(|&(t, s)| arr([Json::from(t), float(s, 4)]));
+    members.push(("predicted_scaling", arr(scaling)));
+    obj(members).render()
 }
 
 #[cfg(test)]
@@ -424,9 +436,8 @@ mod tests {
         assert_eq!(run.predicted_scaling.first(), Some(&(1, 1.0)));
     }
 
-    #[test]
-    fn json_schema_and_fields_are_stable() {
-        let run = SkewRun {
+    fn sample_run() -> SkewRun {
+        SkewRun {
             patches: 9,
             morsels: 9,
             morsel_cost_nanos: vec![100.0; 9],
@@ -449,7 +460,36 @@ mod tests {
                 outputs_identical: true,
             }],
             predicted_scaling: vec![(1, 1.0), (4, 3.2)],
-        };
+            violations: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn gate_flags_morsel_worse_than_static_on_full_runs_only() {
+        let mut results = sample_run().results;
+        assert!(violations(&results, false).is_empty());
+        let r = &mut results[0];
+        std::mem::swap(&mut r.morsel, &mut r.static_split);
+        assert!(
+            violations(&results, true).is_empty(),
+            "quick runs skip the schedule check"
+        );
+        let full = violations(&results, false);
+        assert_eq!(full.len(), 1, "{full:?}");
+        assert!(full[0].starts_with("workers=4: morsel"), "{full:?}");
+        results[0].outputs_identical = false;
+        assert_eq!(violations(&results, true).len(), 1);
+    }
+
+    #[test]
+    fn plancheck_reads_the_summary_this_writer_emits() {
+        let json = results_to_json(&sample_run(), 1, true);
+        assert_eq!(plancheck::measured_imbalance_from_bench(&json), Some(2.4));
+    }
+
+    #[test]
+    fn json_schema_and_fields_are_stable() {
+        let run = sample_run();
         let json = results_to_json(&run, 1, true);
         assert!(json.contains("\"schema\": \"scibench-bench-skew/v1\""));
         assert!(json.contains("\"single_core_host\": true"));

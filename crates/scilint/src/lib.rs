@@ -11,11 +11,13 @@
 //! small hand-written lexer ([`lex`]), a per-file structural model
 //! ([`source`]: test regions, enclosing functions, suppressions), a rule
 //! table ([`rules`]), per-crate profiles ([`profiles`]), and a reporter
-//! ([`report`]) with JSON output for tooling. See DESIGN.md §3.9 for the
+//! ([`report`]) with JSON output for tooling, rendered by [`json`], the
+//! workspace's one artifact writer. See DESIGN.md §3.9 for the
 //! rule table and the suppression policy.
 
 pub mod callgraph;
 pub mod flow;
+pub mod json;
 pub mod lex;
 pub mod profiles;
 pub mod purity;

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use crate::flow::{FlowFinding, FlowStats};
+use crate::json::{arr, obj, Json};
 use crate::rules::{rule, Finding};
 use crate::source::SourceFile;
 
@@ -148,38 +149,25 @@ impl Report {
 
     /// Machine-readable report, schema `scilint/v1`.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n  \"schema\": \"scilint/v1\",\n");
-        s.push_str(&format!("  \"files\": {},\n", self.files));
-        s.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        s.push_str("  \"suppressed\": {");
-        let mut first = true;
-        for (r, n) in &self.suppressed {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\n    \"{r}\": {n}"));
-        }
-        s.push_str(if first { "},\n" } else { "\n  },\n" });
-        s.push_str("  \"findings\": [");
-        let mut first = true;
-        for f in &self.findings {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"crate\": \"{}\", \"path\": \"{}\", \"line\": {}, \
-                 \"message\": \"{}\"}}",
-                f.rule,
-                escape(&f.crate_name),
-                escape(&f.path),
-                f.line,
-                escape(&f.message)
-            ));
-        }
-        s.push_str(if first { "]\n}\n" } else { "\n  ]\n}\n" });
-        s
+        obj([
+            ("schema", "scilint/v1".into()),
+            ("files", self.files.into()),
+            ("clean", self.is_clean().into()),
+            ("suppressed", counts(self.suppressed.iter())),
+            (
+                "findings",
+                arr(self.findings.iter().map(|f| {
+                    obj([
+                        ("rule", f.rule.into()),
+                        ("crate", f.crate_name.as_str().into()),
+                        ("path", f.path.as_str().into()),
+                        ("line", f.line.into()),
+                        ("message", f.message.as_str().into()),
+                    ])
+                })),
+            ),
+        ])
+        .render()
     }
 
     /// True when no F-family finding survived suppression.
@@ -239,83 +227,45 @@ impl Report {
     /// call-graph stats, per-effect tagged-function counts, and every
     /// surviving finding with its structured witness chain.
     pub fn to_flow_json(&self) -> String {
-        let mut s = String::from("{\n  \"schema\": \"sciflow/v1\",\n");
-        s.push_str(&format!(
-            "  \"functions\": {},\n",
-            self.flow_stats.functions
-        ));
-        s.push_str(&format!("  \"edges\": {},\n", self.flow_stats.edges));
-        s.push_str(&format!("  \"roots\": {},\n", self.flow_stats.roots));
-        s.push_str("  \"tagged\": {");
-        let mut first = true;
-        for (e, n) in &self.flow_stats.tagged {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\n    \"{e}\": {n}"));
-        }
-        s.push_str(if first { "},\n" } else { "\n  },\n" });
-        s.push_str(&format!("  \"clean\": {},\n", self.is_flow_clean()));
-        s.push_str("  \"suppressed\": {");
-        let mut first = true;
-        for (r, n) in self.suppressed.iter().filter(|(r, _)| r.starts_with('F')) {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!("\n    \"{r}\": {n}"));
-        }
-        s.push_str(if first { "},\n" } else { "\n  },\n" });
-        s.push_str("  \"findings\": [");
-        let mut first = true;
-        for f in &self.flow_findings {
-            if !first {
-                s.push(',');
-            }
-            first = false;
-            s.push_str(&format!(
-                "\n    {{\"rule\": \"{}\", \"effect\": \"{}\", \"crate\": \"{}\", \
-                 \"path\": \"{}\", \"line\": {}, \"sink\": \"{}\", \"chain\": [",
-                f.rule,
-                f.effect.name(),
-                escape(&f.crate_name),
-                escape(&f.path),
-                f.line,
-                escape(&f.sink)
-            ));
-            let mut first_hop = true;
-            for hop in &f.chain {
-                if !first_hop {
-                    s.push_str(", ");
-                }
-                first_hop = false;
-                s.push_str(&format!(
-                    "{{\"fn\": \"{}\", \"path\": \"{}\", \"line\": {}}}",
-                    escape(&hop.name),
-                    escape(&hop.path),
-                    hop.line
-                ));
-            }
-            s.push_str("]}");
-        }
-        s.push_str(if first { "]\n}\n" } else { "\n  ]\n}\n" });
-        s
+        let stats = &self.flow_stats;
+        let flow_suppressed = self.suppressed.iter().filter(|(r, _)| r.starts_with('F'));
+        obj([
+            ("schema", "sciflow/v1".into()),
+            ("functions", stats.functions.into()),
+            ("edges", stats.edges.into()),
+            ("roots", stats.roots.into()),
+            ("tagged", counts(stats.tagged.iter())),
+            ("clean", self.is_flow_clean().into()),
+            ("suppressed", counts(flow_suppressed)),
+            (
+                "findings",
+                arr(self.flow_findings.iter().map(|f| {
+                    let chain = f.chain.iter().map(|hop| {
+                        obj([
+                            ("fn", hop.name.as_str().into()),
+                            ("path", hop.path.as_str().into()),
+                            ("line", hop.line.into()),
+                        ])
+                    });
+                    obj([
+                        ("rule", f.rule.into()),
+                        ("effect", f.effect.name().into()),
+                        ("crate", f.crate_name.as_str().into()),
+                        ("path", f.path.as_str().into()),
+                        ("line", f.line.into()),
+                        ("sink", f.sink.as_str().into()),
+                        ("chain", arr(chain)),
+                    ])
+                })),
+            ),
+        ])
+        .render()
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+/// A `{name: count}` object from sorted map entries.
+fn counts<'a, K: AsRef<str> + 'a>(entries: impl Iterator<Item = (&'a K, &'a usize)>) -> Json {
+    obj(entries.map(|(k, n)| (k.as_ref(), Json::from(*n))))
 }
 
 #[cfg(test)]

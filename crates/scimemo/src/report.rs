@@ -14,6 +14,8 @@
 
 use std::collections::BTreeMap;
 
+use scilint::json::{arr, obj, Json};
+
 use crate::{Certification, MemoStats};
 
 /// Schema tag written into every report. Bumped v1 → v2 when the
@@ -97,25 +99,6 @@ fn rejections(cert: &Certification) -> BTreeMap<String, (String, Vec<String>)> {
     out
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_str_list(items: &[String]) -> String {
-    let inner: Vec<String> = items.iter().map(|s| format!("\"{}\"", esc(s))).collect();
-    format!("[{}]", inner.join(","))
-}
-
 impl Report {
     /// Tasks and certified-task counts per family, for acceptance checks:
     /// every family must certify at least one node set.
@@ -129,137 +112,88 @@ impl Report {
         out
     }
 
-    /// Render the report as deterministic `scimemo/v1` JSON.
+    /// Render the report as deterministic `scimemo/v2` JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::new();
-        s.push_str("{\n");
-        s.push_str(&format!("  \"schema\": \"{SCHEMA}\",\n"));
-
-        s.push_str("  \"purity\": {");
-        let purity: Vec<String> = self
+        let rejected = |cert: &Certification| {
+            obj(rejections(cert)
+                .into_iter()
+                .map(|(label, (reason, witness))| {
+                    (
+                        label,
+                        obj([("reason", reason.into()), ("witness", arr(witness))]),
+                    )
+                }))
+        };
+        let configs = self.configs.iter().map(|c| {
+            let labels = rollup(&c.cert)
+                .into_iter()
+                .map(|(label, (class, n, cert))| {
+                    let row = [
+                        ("class", class.into()),
+                        ("tasks", n.into()),
+                        ("certified", cert.into()),
+                    ];
+                    (label, obj(row))
+                });
+            let mut members = vec![
+                ("name", c.name.as_str().into()),
+                ("family", c.family.as_str().into()),
+                ("engine", c.engine.as_str().into()),
+                (
+                    "graph_fingerprint",
+                    format!("{:016x}", c.cert.graph_fingerprint).into(),
+                ),
+                ("tasks", c.cert.nodes.len().into()),
+                ("certified", c.cert.certified_count().into()),
+                ("rejected", c.cert.rejections().count().into()),
+                ("labels", obj(labels)),
+            ];
+            if c.cert.rejections().next().is_some() {
+                members.push(("rejections", rejected(&c.cert)));
+            }
+            obj(members)
+        });
+        let fixtures = self.fixtures.iter().map(|f| {
+            obj([
+                ("name", f.name.as_str().into()),
+                ("tasks", f.cert.nodes.len().into()),
+                ("certified", f.cert.certified_count().into()),
+                ("rejections", rejected(&f.cert)),
+            ])
+        });
+        let purity = self
             .purity
             .iter()
-            .map(|(k, v)| format!("\"{}\": {v}", esc(k)))
-            .collect();
-        s.push_str(&purity.join(", "));
-        s.push_str("},\n");
-
-        s.push_str("  \"configs\": [\n");
-        for (i, c) in self.configs.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!(
-                "\"name\": \"{}\", \"family\": \"{}\", \"engine\": \"{}\", ",
-                esc(&c.name),
-                esc(&c.family),
-                esc(&c.engine)
-            ));
-            s.push_str(&format!(
-                "\"graph_fingerprint\": \"{:016x}\", ",
-                c.cert.graph_fingerprint
-            ));
-            let (tasks, certified) = (c.cert.nodes.len(), c.cert.certified_count());
-            let rejected = c.cert.rejections().count();
-            s.push_str(&format!(
-                "\"tasks\": {tasks}, \"certified\": {certified}, \"rejected\": {rejected}"
-            ));
-            s.push_str(", \"labels\": {");
-            let labels: Vec<String> = rollup(&c.cert)
-                .iter()
-                .map(|(label, (class, n, cert))| {
-                    format!(
-                        "\"{}\": {{\"class\": \"{class}\", \"tasks\": {n}, \"certified\": {cert}}}",
-                        esc(label)
-                    )
-                })
-                .collect();
-            s.push_str(&labels.join(", "));
-            s.push('}');
-            let rej = rejections(&c.cert);
-            if !rej.is_empty() {
-                s.push_str(", \"rejections\": {");
-                let rs: Vec<String> = rej
-                    .iter()
-                    .map(|(label, (reason, witness))| {
-                        format!(
-                            "\"{}\": {{\"reason\": \"{}\", \"witness\": {}}}",
-                            esc(label),
-                            esc(reason),
-                            json_str_list(witness)
-                        )
-                    })
-                    .collect();
-                s.push_str(&rs.join(", "));
-                s.push('}');
-            }
-            s.push('}');
-            if i + 1 < self.configs.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-
-        s.push_str("  \"fixtures\": [\n");
-        for (i, f) in self.fixtures.iter().enumerate() {
-            let rej = rejections(&f.cert);
-            s.push_str("    {");
-            s.push_str(&format!(
-                "\"name\": \"{}\", \"tasks\": {}, \"certified\": {}, \"rejections\": {{",
-                esc(&f.name),
-                f.cert.nodes.len(),
-                f.cert.certified_count()
-            ));
-            let rs: Vec<String> = rej
-                .iter()
-                .map(|(label, (reason, witness))| {
-                    format!(
-                        "\"{}\": {{\"reason\": \"{}\", \"witness\": {}}}",
-                        esc(label),
-                        esc(reason),
-                        json_str_list(witness)
-                    )
-                })
-                .collect();
-            s.push_str(&rs.join(", "));
-            s.push_str("}}");
-            if i + 1 < self.fixtures.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ],\n");
-
+            .map(|(k, v)| (k.as_str(), Json::from(*v)));
+        let mut members = vec![
+            ("schema", SCHEMA.into()),
+            ("purity", obj(purity)),
+            ("configs", arr(configs)),
+            ("fixtures", arr(fixtures)),
+        ];
         if let Some(m) = &self.memo_stats {
-            s.push_str(&format!(
-                "  \"memo_stats\": {{\"hits\": {}, \"misses\": {}, \"bypasses\": {}, \
-                 \"evictions\": {}, \"evicted_bytes\": {}, \"resident_entries\": {}, \
-                 \"resident_bytes\": {}}},\n",
-                m.stats.hits,
-                m.stats.misses,
-                m.stats.bypasses,
-                m.stats.evictions,
-                m.stats.evicted_bytes,
-                m.resident_entries,
-                m.resident_bytes
-            ));
+            let stats = [
+                ("hits", m.stats.hits.into()),
+                ("misses", m.stats.misses.into()),
+                ("bypasses", m.stats.bypasses.into()),
+                ("evictions", m.stats.evictions.into()),
+                ("evicted_bytes", m.stats.evicted_bytes.into()),
+                ("resident_entries", m.resident_entries.into()),
+                ("resident_bytes", m.resident_bytes.into()),
+            ];
+            members.push(("memo_stats", obj(stats)));
         }
-
-        s.push_str("  \"families\": {");
-        let fams: Vec<String> = self
+        let families = self
             .family_certified()
-            .iter()
+            .into_iter()
             .map(|(fam, (tasks, cert))| {
-                format!(
-                    "\"{}\": {{\"tasks\": {tasks}, \"certified\": {cert}}}",
-                    esc(fam)
+                (
+                    fam,
+                    obj([("tasks", tasks.into()), ("certified", cert.into())]),
                 )
-            })
-            .collect();
-        s.push_str(&fams.join(", "));
-        s.push_str("}\n");
-
-        s.push_str("}\n");
-        s
+            });
+        members.push(("families", obj(families)));
+        obj(members).render()
     }
 }
 
@@ -360,6 +294,8 @@ mod tests {
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut r = sample();
+        r.configs[0].name = "a\"b\\c\nd".into();
+        assert!(r.to_json().contains("\"name\": \"a\\\"b\\\\c\\nd\""));
     }
 }

@@ -30,6 +30,8 @@ cargo run --release -q -p scilint --bin scilint -- --flow --json > "$tmp/flow.js
 flow_schema='"schema": "sciflow/v1"'
 grep -qF "$flow_schema" "$tmp/flow.json" || {
   echo "ci: FAIL - scilint --flow no longer emits $flow_schema" >&2; exit 1; }
+jq -e . "$tmp/flow.json" >/dev/null || {
+  echo "ci: FAIL - scilint --flow --json is not valid JSON" >&2; exit 1; }
 
 echo "== cargo test"
 cargo test -q --workspace
@@ -63,12 +65,16 @@ scibench perf-smoke --threads 4
 # schedules, a warm hit that moved bytes, an unrejected Figure 15 plan, a
 # bounded run that did not spill or overran its budget, ...; DESIGN.md
 # §3.10-§3.16), then the emitted and the committed artifact must both
-# speak the schema the tool emits.
+# parse as JSON and speak the schema the tool emits.
 while IFS='|' read -r args artifact schema <&3; do
   echo "== scibench $args ($artifact)"
   out="$tmp/$artifact"
   # shellcheck disable=SC2086 # $args is a word list by design
   scibench $args --out "$out"
+  for json in "$out" "$artifact"; do
+    jq -e . "$json" >/dev/null || {
+      echo "ci: FAIL - $json (from scibench $args) is not valid JSON" >&2; exit 1; }
+  done
   schema_line="\"schema\": \"$schema\""
   grep -qF "$schema_line" "$out" || {
     echo "ci: FAIL - scibench $args no longer emits $schema_line" >&2; exit 1; }

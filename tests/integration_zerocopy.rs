@@ -14,7 +14,9 @@ use scibench_bench::e2e;
 
 #[test]
 fn every_engine_pipeline_is_bit_identical_across_copy_modes() {
-    let (results, skipped) = e2e::run_e2e(true);
+    let e2e::E2eRun {
+        results, skipped, ..
+    } = e2e::run_e2e(true);
     assert_eq!(results.len(), 8, "5 neuro + 3 astro measurements");
     assert_eq!(skipped.len(), 2, "astro dask + tensorflow gaps documented");
     for r in &results {
@@ -38,7 +40,7 @@ fn every_engine_pipeline_is_bit_identical_across_copy_modes() {
 fn shared_plane_halves_copies_on_at_least_three_engines() {
     // The acceptance bar: copies drop >= 50% on >= 3 of the 5 engine
     // analogs (measured on the neuroscience pipeline, which all five run).
-    let (results, _) = e2e::run_e2e(true);
+    let results = e2e::run_e2e(true).results;
     let halved: Vec<&str> = results
         .iter()
         .filter(|r| r.pipeline == "neuro" && r.copy_drop >= 0.5)
@@ -68,7 +70,7 @@ fn remaining_copies_carry_only_sanctioned_reason_tags() {
     // On the shared plane every surviving copy must be COW or an
     // explicitly recorded architectural copy — never the eager-clone tag,
     // which only the baseline mode may produce.
-    let (results, _) = e2e::run_e2e(true);
+    let results = e2e::run_e2e(true).results;
     for r in &results {
         for (reason, copies) in &r.reasons_after {
             assert_ne!(
